@@ -1,7 +1,7 @@
 """Baseline files: grandfather existing findings without suppressing new ones.
 
 A baseline is a JSON document of finding fingerprints (see
-:func:`repro.devtools.lint.findings.fingerprint`).  Findings whose
+:func:`repro.devtools.analyze.findings.fingerprint`).  Findings whose
 fingerprint appears in the baseline are filtered out; everything else
 — including a *new* occurrence of a grandfathered pattern — still
 fails the run.  Stale fingerprints (fixed findings) are reported so
@@ -49,7 +49,7 @@ def load_baseline(path: Path) -> set[str]:
         raise ConfigError(f"baseline {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("version") != _VERSION:
         raise ConfigError(
-            f"baseline {path}: expected a v{_VERSION} kdd-lint baseline"
+            f"baseline {path}: expected a v{_VERSION} kdd-repro analyze baseline"
         )
     prints = doc.get("fingerprints", [])
     if not isinstance(prints, list) or not all(isinstance(p, str) for p in prints):

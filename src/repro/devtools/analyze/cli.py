@@ -1,6 +1,6 @@
-"""``kdd-repro analyze`` command line.
+"""``kdd-repro analyze``: the one static-analysis command line.
 
-Exit codes mirror kdd-lint: 0 clean, 1 findings remain after the
+Exit codes: 0 clean, 1 findings remain after suppressions and the
 baseline, 2 usage or configuration error.  Output (human and JSON) is
 byte-identical across runs and file-discovery orders.
 """
@@ -14,17 +14,18 @@ from collections import Counter
 from pathlib import Path
 
 from ...errors import ConfigError, ReproError
-from ..lint.baseline import apply_baseline, load_baseline, write_baseline
-from ..lint.findings import Finding
+from .baseline import apply_baseline, load_baseline, write_baseline
 from .columnar import check_columnar, columnar_report
 from .deadcode import check_dead_public, check_unused_imports
 from .effects import check_effects, effects_report
 from .excflow import check_contracts
+from .filerules import check_file_rules
+from .findings import CODES, Finding
 from .graphio import architecture_md, graph_dot, graph_json
 from .layers import check_layering
 from .project import Project
 from .rngflow import check_rng_provenance
-from .suppress import COLUMNAR_CODES, EFFECTS_CODES, apply_suppressions
+from .suppress import apply_suppressions
 from .unitflow import check_units
 
 _DEFAULT_TARGET = "src/repro"
@@ -32,6 +33,7 @@ _DEFAULT_TARGET = "src/repro"
 #: Gating analyses, in code order.  RPR110 (dead public symbols) is
 #: report-only and opt-in via --dead-code.
 _ANALYSES = (
+    check_file_rules,
     check_layering,
     check_units,
     check_rng_provenance,
@@ -42,29 +44,47 @@ _ANALYSES = (
 )
 
 
-def analyze_project(project: Project, dead_code: bool = False) -> list[Finding]:
+def analyze_project(
+    project: Project,
+    dead_code: bool = False,
+    select: frozenset[str] | None = None,
+) -> list[Finding]:
     """Run every gating analysis over one parsed :class:`Project`.
 
+    ``select`` keeps only findings with those codes (default: all).
     Inline ``# kdd-analyze: disable=RPRnnn`` suppressions are applied
     here (with unused-suppression meta-findings), so every caller —
     CLI, CI gate, tests — sees the same post-suppression view.
     """
+    active = frozenset(CODES) if select is None else select
     findings: list[Finding] = []
     for analysis in _ANALYSES:
         findings.extend(analysis(project))
     if dead_code:
         findings.extend(check_dead_public(project))
-    findings = apply_suppressions(project, findings)
-    return sorted(findings, key=Finding.sort_key)
+    findings = [f for f in findings if f.code in active]
+    return apply_suppressions(project, findings, active)
+
+
+def _parse_select(spec: str) -> frozenset[str]:
+    """Validate a comma-separated ``--select`` list against :data:`CODES`."""
+    codes = frozenset(c.strip().upper() for c in spec.split(",") if c.strip())
+    unknown = sorted(codes - set(CODES))
+    if unknown:
+        raise ConfigError(
+            f"unknown rule codes: {', '.join(unknown)}; "
+            f"known: {', '.join(CODES)}"
+        )
+    return codes
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kdd-repro analyze",
-        description="Whole-program static analysis: layering contract, "
-        "flow-sensitive unit/RNG taint, exception-flow verification, and "
-        "effect/write-set contracts (mirror coherence, fast-path "
-        "subsumption, sweep races).",
+        description="Static analysis of the repro library over one parse: "
+        "per-file determinism/taxonomy rules, layering contract, "
+        "flow-sensitive unit/RNG taint, exception-flow verification, "
+        "effect/write-set and columnar dtype/shape contracts.",
     )
     parser.add_argument(
         "paths", nargs="*", default=None,
@@ -76,9 +96,17 @@ def _parser() -> argparse.ArgumentParser:
         "and byte-identical across runs",
     )
     parser.add_argument(
+        "--select", metavar="CODES", default=None,
+        help="comma-separated rule codes to report (default: all; see "
+        "--list-rules)",
+    )
+    parser.add_argument(
+        "--list-rules", action="store_true",
+        help="list every rule code with its summary and exit",
+    )
+    parser.add_argument(
         "--baseline", metavar="FILE", type=Path, default=None,
-        help="JSON baseline of grandfathered findings to ignore "
-        "(kdd-lint baseline format)",
+        help="JSON baseline of grandfathered findings to ignore",
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
@@ -89,17 +117,9 @@ def _parser() -> argparse.ArgumentParser:
         help="also report dead public symbols (RPR110, report-only)",
     )
     parser.add_argument(
-        "--effects", action="store_true",
-        help="run only the effect/write-set contracts (RPR201-RPR207)",
-    )
-    parser.add_argument(
         "--effects-report", metavar="FILE", type=Path, default=None,
         help="write the inferred effect model (write-set closures, choke "
         "points, sweep reachability) as stable JSON",
-    )
-    parser.add_argument(
-        "--columnar", action="store_true",
-        help="run only the columnar dtype/shape contracts (RPR301-RPR305)",
     )
     parser.add_argument(
         "--columnar-report", metavar="FILE", type=Path, default=None,
@@ -133,6 +153,10 @@ def _render_json(findings: list[Finding]) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    if args.list_rules:
+        for code, summary in CODES.items():
+            print(f"{code}  {summary}")
+        return 0
     if args.update_baseline and args.baseline is None:
         print("kdd-repro analyze: --update-baseline requires --baseline",
               file=sys.stderr)
@@ -140,19 +164,10 @@ def main(argv: list[str] | None = None) -> int:
 
     paths = [Path(p) for p in (args.paths or [_DEFAULT_TARGET])]
     try:
+        select = _parse_select(args.select) if args.select else None
         project = Project.load(paths)
-        if args.effects or args.columnar:
-            findings = []
-            active: frozenset[str] = frozenset()
-            if args.effects:
-                findings.extend(check_effects(project))
-                active |= EFFECTS_CODES
-            if args.columnar:
-                findings.extend(check_columnar(project))
-                active |= COLUMNAR_CODES
-            findings = apply_suppressions(project, findings, active)
-        else:
-            findings = analyze_project(project, dead_code=args.dead_code)
+        findings = analyze_project(project, dead_code=args.dead_code,
+                                   select=select)
 
         exports = (
             (args.export_dot, graph_dot),

@@ -55,7 +55,7 @@ RPR305
     per-element ``.item()`` in one of the designated hot modules,
     unless the function is on the explicit allowlist.
 
-Suppression uses the shared inline syntax ``# kdd-analyze:
+Suppression uses the analyzer's inline tag ``# kdd-analyze:
 disable=RPRnnn`` (see :mod:`repro.devtools.analyze.suppress`), never a
 baseline entry: a columnar exception is a reviewed property of a line
 of code, not a grandfathered debt.
@@ -68,7 +68,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 
-from ..lint.findings import Finding
+from .findings import CODES, Finding
 from .project import FuncInfo, ModuleInfo, Project, finding_at
 from .unitflow import unit_of_name
 
@@ -225,15 +225,6 @@ _RNG_METHODS = {
     "permutation": "int64",
     "geometric": "int64",
 }
-
-_RULES = {
-    "RPR301": "index column leaves int64 (dtype-flow taint)",
-    "RPR302": "unsafe cast (float truncation / unit-carrying narrow)",
-    "RPR303": "in-place write through a membership-mirror view",
-    "RPR304": "boolean-mask misuse (and/or, chained fancy assignment)",
-    "RPR305": "scalar loop over an ndarray in a hot module",
-}
-
 
 def _name_tokens(name: str) -> set[str]:
     return set(_TOKEN_SPLIT.split(name.lower()))
@@ -1454,7 +1445,8 @@ def columnar_report(project: Project) -> str:
         declarations.append(entry)
     doc = {
         "version": 1,
-        "rules": dict(sorted(_RULES.items())),
+        "rules": {code: summary for code, summary in CODES.items()
+                  if code.startswith("RPR3")},
         "declarations": declarations,
         "choke_points": sorted(analysis.chokes),
         "hot_modules": sorted(HOT_MODULES),

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 import re
 
-from ..lint.findings import Finding
+from .findings import Finding
 from .project import ModuleInfo, Project, finding_at
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -137,7 +137,7 @@ class _ReferenceIndex:
                     self.referenced.add(site)
 
         # Registration pattern: a decorated top-level def is consumed by
-        # its decorator (e.g. kdd-lint's @register rules) even when the
+        # its decorator (e.g. a ``@register`` registry) even when the
         # name itself is never loaded again.
         self.decorated: set[tuple[str, str]] = set()
         for mod in self.project.modules.values():

@@ -49,7 +49,7 @@ import ast
 import json
 from dataclasses import dataclass, field
 
-from ..lint.findings import Finding
+from .findings import Finding
 from .project import FuncInfo, ModuleInfo, Project, finding_at
 
 # -- contract configuration --------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..lint.findings import Finding
+from .findings import Finding
 from .project import FuncInfo, ModuleInfo, Project, finding_at
 
 ERRORS_MODULE = "repro.errors"

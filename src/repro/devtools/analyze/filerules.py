@@ -1,53 +1,40 @@
-"""Rule registry and the built-in RPR rules.
+"""Per-file rules (RPR001-RPR009): one more pass over the parsed project.
 
-Each rule is an :class:`ast.NodeVisitor` subclass registered under a
-stable ``RPRxxx`` code.  Rules receive one parsed module at a time via
-:meth:`Rule.run` and report ``(line, col, message)`` tuples; scoping,
-suppression, and baselines are the engine's job.
-
-The rules encode the invariants behind the reproduction's
-byte-for-byte determinism guarantee (see DESIGN.md):
-
-==========  ===========================================================
-RPR001      unseeded or global randomness in library code
-RPR002      wall-clock reads inside simulation modules
-RPR003      builtin exceptions raised instead of the repro.errors taxonomy
-RPR004      iteration over sets without ``sorted()`` (hash-order hazard)
-RPR005      float ``==`` / ``!=`` comparisons in stats/ and sim/
-RPR006      mutable default arguments
-RPR007      arithmetic mixing ``*_bytes`` and ``*_pages`` quantities
-RPR008      naked ``except Exception`` swallowing the error taxonomy
-RPR009      simulated-clock arithmetic outside ``repro/engine/``
-==========  ===========================================================
+Each rule is an :class:`ast.NodeVisitor` subclass with a stable
+``RPRxxx`` code.  :func:`check_file_rules` runs every rule that applies
+to a module over its already-parsed ``ModuleInfo.tree``; rules report
+``(line, col, message)`` tuples and the pass turns them into findings.
+Suppressions and baselines are the CLI's job, shared with every other
+analysis.  The rules encode the invariants behind the reproduction's
+byte-for-byte determinism guarantee (see DESIGN.md §8; the one-line
+summaries live in :data:`repro.devtools.analyze.findings.CODES`).
+RPR007 (lexical bytes/pages mixing) was folded into the flow-sensitive
+RPR104 and stays unassigned.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 
-from ...errors import ConfigError
-
-#: Module directories (relative to the ``repro`` package root) that
-#: hold *simulation* code, where wall-clock time is banned outright.
-SIM_DIRS = ("sim", "cache", "raid", "core", "flash", "delta", "nvram", "faults",
-            "engine", "serve")
+from .findings import Finding
+from .layers import DEFAULT_LAYERS
+from .project import Project, finding_at
 
 #: Directories where exact float comparison is flagged (RPR005).
 FLOAT_EQ_DIRS = ("stats", "sim", "engine")
 
 #: The one directory allowed to advance simulated time (RPR009).
-#: The harness/devtools side needs no allowlist constant: wall-clock
-#: scoping is expressed positively through SIM_DIRS membership.
 ENGINE_DIRS = ("engine",)
+
+#: Height of the application layer; every package below it is
+#: simulation code, where wall-clock time is banned outright (RPR002).
+_APPLICATION = [name for name, _ in DEFAULT_LAYERS.layers].index("application")
 
 
 class Rule(ast.NodeVisitor):
-    """Base class: one rule instance is created per linted file."""
+    """Base class: one rule instance is created per checked module."""
 
     code: str = ""
-    name: str = ""
-    summary: str = ""
 
     def __init__(self, relpath: str) -> None:
         self.relpath = relpath
@@ -68,23 +55,15 @@ class Rule(ast.NodeVisitor):
         )
 
 
-REGISTRY: dict[str, type[Rule]] = {}
-
-
-def register(cls: type[Rule]) -> type[Rule]:
-    if cls.code in REGISTRY:
-        raise ConfigError(f"duplicate rule code {cls.code}")
-    REGISTRY[cls.code] = cls
-    return cls
-
-
-def all_rules() -> list[type[Rule]]:
-    """Registered rules in code order (the engine's execution order)."""
-    return [REGISTRY[code] for code in sorted(REGISTRY)]
-
-
 def _in_dirs(relpath: str, dirs: tuple[str, ...]) -> bool:
     return relpath.split("/", 1)[0] in dirs
+
+
+def _below_application(relpath: str) -> bool:
+    """Whether ``relpath`` lies in a package below the application layer."""
+    top = relpath.split("/", 1)[0].removesuffix(".py")
+    layer = DEFAULT_LAYERS.index_of(top)
+    return layer is not None and layer < _APPLICATION
 
 
 class _ImportTracker(Rule):
@@ -140,16 +119,14 @@ _NP_SEEDABLE = frozenset(
 )
 
 
-@register
 class UnseededRandomness(_ImportTracker):
+    """Global or unseeded randomness (random.*, legacy np.random.*
+    globals, default_rng() without a seed) breaks cross-run and
+    cross-worker reproducibility; thread an explicit seed or
+    np.random.Generator instead.
+    """
+
     code = "RPR001"
-    name = "unseeded-randomness"
-    summary = (
-        "Global or unseeded randomness (random.*, legacy np.random.* "
-        "globals, default_rng() without a seed) breaks cross-run and "
-        "cross-worker reproducibility; thread an explicit seed or "
-        "np.random.Generator instead."
-    )
 
     def visit_Call(self, node: ast.Call) -> None:
         target = self.resolve_call(node)
@@ -198,20 +175,18 @@ _WALL_CLOCK = frozenset(
 )
 
 
-@register
 class WallClock(_ImportTracker):
+    """Simulation modules must be pure functions of their inputs:
+    reading the wall clock (time.time, perf_counter, datetime.now)
+    makes results run-dependent.  Simulated time comes from the
+    trace; only the harness may time real execution.
+    """
+
     code = "RPR002"
-    name = "wall-clock"
-    summary = (
-        "Simulation modules must be pure functions of their inputs: "
-        "reading the wall clock (time.time, perf_counter, datetime.now) "
-        "makes results run-dependent.  Simulated time comes from the "
-        "trace; only the harness may time real execution."
-    )
 
     @classmethod
     def applies_to(cls, relpath: str) -> bool:
-        return _in_dirs(relpath, SIM_DIRS)
+        return _below_application(relpath)
 
     def visit_Call(self, node: ast.Call) -> None:
         target = self.resolve_call(node)
@@ -236,15 +211,13 @@ _FORBIDDEN_RAISES = frozenset(
 )
 
 
-@register
 class BuiltinRaise(Rule):
+    """Library code raises from the repro.errors taxonomy so callers
+    can catch library failures without masking programming errors;
+    bare ValueError/RuntimeError/... escape that contract.
+    """
+
     code = "RPR003"
-    name = "builtin-raise"
-    summary = (
-        "Library code raises from the repro.errors taxonomy so callers "
-        "can catch library failures without masking programming errors; "
-        "bare ValueError/RuntimeError/... escape that contract."
-    )
 
     def visit_Raise(self, node: ast.Raise) -> None:
         exc = node.exc
@@ -282,15 +255,13 @@ def _is_set_expr(node: ast.expr, set_vars: dict[str, bool]) -> bool:
     return False
 
 
-@register
 class SetIteration(Rule):
+    """Iterating a set feeds hash order into simulation state, which
+    varies across PYTHONHASHSEED values and sweep workers; wrap the
+    iterable in sorted() to pin a total order.
+    """
+
     code = "RPR004"
-    name = "set-iteration"
-    summary = (
-        "Iterating a set feeds hash order into simulation state, which "
-        "varies across PYTHONHASHSEED values and sweep workers; wrap "
-        "the iterable in sorted() to pin a total order."
-    )
 
     def __init__(self, relpath: str) -> None:
         super().__init__(relpath)
@@ -378,15 +349,13 @@ def _is_floatish(node: ast.expr) -> bool:
     return False
 
 
-@register
 class FloatEquality(Rule):
+    """Exact == / != against float values is brittle under re-
+    association (parallel reduction order); compare with
+    math.isclose or a tolerance.
+    """
+
     code = "RPR005"
-    name = "float-equality"
-    summary = (
-        "Exact == / != against float values is brittle under "
-        "re-association (parallel reduction order); compare with "
-        "math.isclose or a tolerance."
-    )
 
     @classmethod
     def applies_to(cls, relpath: str) -> bool:
@@ -413,15 +382,13 @@ _MUTABLE_CTORS = frozenset(
 )
 
 
-@register
 class MutableDefault(Rule):
+    """Mutable default arguments are shared across calls, leaking state
+    between simulation runs; default to None (or use
+    dataclasses.field(default_factory=...)).
+    """
+
     code = "RPR006"
-    name = "mutable-default"
-    summary = (
-        "Mutable default arguments are shared across calls, leaking "
-        "state between simulation runs; default to None (or use "
-        "dataclasses.field(default_factory=...))."
-    )
 
     def _check_args(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
         for default in [*node.args.defaults, *node.args.kw_defaults]:
@@ -448,67 +415,6 @@ class MutableDefault(Rule):
 
     def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
         self._check_args(node)
-        self.generic_visit(node)
-
-
-_BYTES_TOKENS = frozenset({"bytes", "nbytes"})
-_PAGES_TOKENS = frozenset({"pages", "npages"})
-_TOKEN_SPLIT = re.compile(r"[_\W]+")
-
-
-def _unit_of(node: ast.expr) -> str | None:
-    """'bytes' / 'pages' classification of an operand by naming convention.
-
-    Rate-valued names (``ops_per_page``, ``bytes_per_ms``) carry a
-    *ratio*, not either unit, so they classify as unit-less — comparing
-    two rates or scaling by one is legitimate arithmetic.
-    """
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    else:
-        return None
-    tokens = set(_TOKEN_SPLIT.split(name.lower()))
-    if "per" in tokens:  # rates are dimensionless for unit mixing
-        return None
-    byteish = bool(tokens & _BYTES_TOKENS)
-    pageish = bool(tokens & _PAGES_TOKENS)
-    if byteish == pageish:  # untyped, or pathologically both
-        return None
-    return "bytes" if byteish else "pages"
-
-
-@register
-class UnitMixing(Rule):
-    code = "RPR007"
-    name = "unit-mixing"
-    summary = (
-        "Adding, subtracting, or comparing a *_bytes quantity against a "
-        "*_pages quantity is a unit error; convert through repro.units "
-        "(pages_for_bytes, DEFAULT_PAGE_SIZE) first.  Multiplication "
-        "and division are exempt (they perform the conversion)."
-    )
-
-    def _check_pair(self, node: ast.AST, left: ast.expr, right: ast.expr) -> None:
-        lu, ru = _unit_of(left), _unit_of(right)
-        if lu is not None and ru is not None and lu != ru:
-            self.report(
-                node,
-                f"mixes a {lu}-valued name with a {ru}-valued name; convert "
-                "via repro.units before combining",
-            )
-
-    def visit_BinOp(self, node: ast.BinOp) -> None:
-        if isinstance(node.op, (ast.Add, ast.Sub, ast.Mod)):
-            self._check_pair(node, node.left, node.right)
-        self.generic_visit(node)
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        operands = [node.left, *node.comparators]
-        for op, left, right in zip(node.ops, operands, operands[1:]):
-            if isinstance(op, (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
-                self._check_pair(node, left, right)
         self.generic_visit(node)
 
 
@@ -551,16 +457,14 @@ def _reraises(handler: ast.ExceptHandler) -> bool:
     return False
 
 
-@register
 class BroadExcept(Rule):
+    """`except Exception` (or bare except) in library code swallows
+    programming errors together with taxonomy failures, hiding
+    determinism bugs behind fallback paths; catch a repro.errors
+    class, a specific builtin, or re-raise.
+    """
+
     code = "RPR008"
-    name = "broad-except"
-    summary = (
-        "`except Exception` (or bare except) in library code swallows "
-        "programming errors together with taxonomy failures, hiding "
-        "determinism bugs behind fallback paths; catch a repro.errors "
-        "class, a specific builtin, or re-raise."
-    )
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if _catches_broadly(node) and not _reraises(node):
@@ -583,17 +487,15 @@ def _mentions_clock_state(node: ast.expr) -> str | None:
     return None
 
 
-@register
 class ClockArithmetic(Rule):
+    """Simulated time advances only inside repro.engine: mutating a
+    device's busy_until clock or computing start times with
+    max(earliest, ...) elsewhere re-creates the ad-hoc scheduling
+    the engine replaced and silently forks the timing model.  Serve
+    operations through an engine resource instead.
+    """
+
     code = "RPR009"
-    name = "clock-arithmetic"
-    summary = (
-        "Simulated time advances only inside repro.engine: mutating a "
-        "device's busy_until clock or computing start times with "
-        "max(earliest, ...) elsewhere re-creates the ad-hoc scheduling "
-        "the engine replaced and silently forks the timing model.  Serve "
-        "operations through an engine resource instead."
-    )
 
     @classmethod
     def applies_to(cls, relpath: str) -> bool:
@@ -637,3 +539,23 @@ class ClockArithmetic(Rule):
                     )
                     break
         self.generic_visit(node)
+
+
+#: Every per-file rule, in code order.
+FILE_RULES: tuple[type[Rule], ...] = (
+    UnseededRandomness, WallClock, BuiltinRaise, SetIteration,
+    FloatEquality, MutableDefault, BroadExcept, ClockArithmetic,
+)
+
+
+def check_file_rules(project: Project) -> list[Finding]:
+    """RPR001-RPR009: run each per-file rule over each parsed module."""
+    findings: list[Finding] = []
+    for mod in project.modules.values():
+        for rule_cls in FILE_RULES:
+            if not rule_cls.applies_to(mod.relpath):
+                continue
+            for line, col, message in rule_cls(mod.relpath).run(mod.tree):
+                findings.append(
+                    finding_at(mod, line, col, rule_cls.code, message))
+    return sorted(findings, key=Finding.sort_key)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..lint.findings import Finding
+from .findings import Finding
 from .project import EDGE_TOP, EDGE_TYPING, ImportEdge, Project, finding_at
 
 

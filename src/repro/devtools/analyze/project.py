@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 from ...errors import ConfigError
-from ..lint.engine import iter_python_files, repro_relpath
-from ..lint.findings import Finding
+from .findings import Finding
 
 #: Import-edge kinds.  ``top`` executes at module import time (the only
 #: kind that can create a real import cycle); ``deferred`` executes
@@ -160,6 +159,43 @@ def finding_at(
         message=message,
         source=source,
     )
+
+
+def repro_relpath(path: Path) -> str:
+    """Path relative to the ``repro`` package root, as a posix string.
+
+    ``src/repro/sim/system.py`` -> ``sim/system.py``.  Files outside a
+    ``repro`` directory fall back to their basename, which leaves them
+    unscoped (path-scoped rules treat them as top-level modules).
+    """
+    parts = path.resolve().parts
+    for i in range(len(parts) - 1, -1, -1):
+        if parts[i] == "repro":
+            rel = parts[i + 1 :]
+            if rel:
+                return str(PurePosixPath(*rel))
+    return path.name
+
+
+def iter_python_files(paths: list[Path]) -> list[Path]:
+    """Expand files/directories into a sorted, de-duplicated file list."""
+    seen: set[Path] = set()
+    out: list[Path] = []
+    for path in paths:
+        if path.is_dir():
+            candidates = sorted(p for p in path.rglob("*.py"))
+        elif path.suffix == ".py":
+            candidates = [path]
+        elif not path.exists():
+            raise ConfigError(f"no such file or directory: {path}")
+        else:
+            candidates = []
+        for cand in candidates:
+            resolved = cand.resolve()
+            if resolved not in seen:
+                seen.add(resolved)
+                out.append(cand)
+    return sorted(out, key=lambda p: str(p))
 
 
 def _module_name(relpath: str) -> str:

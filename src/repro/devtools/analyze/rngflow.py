@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import ast
 
-from ..lint.findings import Finding
+from .findings import Finding
 from .project import FuncInfo, ModuleInfo, Project, finding_at
 
 #: numpy.random constructor names that yield a stream object.

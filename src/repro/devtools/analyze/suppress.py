@@ -1,60 +1,78 @@
-"""Inline suppressions for the whole-program analyzer.
+"""Inline suppressions: ``# kdd-analyze: disable=RPRnnn``.
 
-The analyzer shares kdd-lint's suppression grammar and engine
-(:func:`repro.devtools.lint.engine.parse_suppressions`) under its own
-comment tag::
+One comment tag waives findings of any analysis on its own line::
 
     lbas = pages.astype(np.int64)  # kdd-analyze: disable=RPR302
+    y = {a} | {b}                  # kdd-analyze: disable=RPR004,RPR104
+    z = random.random()            # kdd-analyze: disable=all
 
-Semantics mirror kdd-lint exactly: a suppression only applies on the
-finding's own line, ``all`` waives every code, and a suppression that
-suppressed nothing is itself reported as an RPR000 meta-finding — so
-columnar (and any other analyzer-family) exceptions live next to the
+A suppression only applies on the finding's own line, ``all`` waives
+every code, and a suppression that suppressed nothing is itself
+reported as an RPR000 meta-finding — so exceptions live next to the
 code they excuse and rot is visible, instead of accumulating in a
 baseline file.
 
-Unused-suppression reporting is scoped to the analyses that actually
-ran: a family-filtered run (``--effects``, ``--columnar``) ignores
-suppressions for codes outside the active set rather than calling
-them unused.
+Unused-suppression reporting is scoped to the codes a run could emit:
+a ``--select``-filtered run ignores suppressions for codes outside the
+selection rather than calling them unused.
 """
 
 from __future__ import annotations
 
-from ..lint.engine import parse_suppressions
-from ..lint.findings import META_CODE, Finding
+import io
+import re
+import tokenize
+
+from .findings import CODES, META_CODE, Finding
 from .project import Project, finding_at
 
-#: The comment tag the analyzer reads.
-ANALYZE_TOOL = "kdd-analyze"
-
-#: Code families, for scoping unused-suppression reporting to the
-#: analyses a run actually executed.
-FLOW_CODES = frozenset({f"RPR1{i:02d}" for i in range(1, 12)})
-EFFECTS_CODES = frozenset({f"RPR2{i:02d}" for i in range(1, 8)})
-COLUMNAR_CODES = frozenset({f"RPR3{i:02d}" for i in range(1, 6)})
-
-#: Every code an analyzer run can emit.
-ANALYZER_CODES = FLOW_CODES | EFFECTS_CODES | COLUMNAR_CODES
+_SUPPRESS_RE = re.compile(r"#\s*kdd-analyze:\s*disable=([A-Za-z0-9,\s]+)")
 
 _ALL = "all"
+
+
+def parse_suppressions(source: str) -> dict[int, list[str]]:
+    """Map line number -> suppressed codes, parsed from comment tokens.
+
+    Comments are found with :mod:`tokenize` rather than substring
+    matching, so a disable marker inside a string literal is not
+    treated as a suppression.  Unparseable source yields no
+    suppressions.
+    """
+    out: dict[int, list[str]] = {}
+    reader = io.StringIO(source).readline
+    try:
+        tokens = list(tokenize.generate_tokens(reader))
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        return out
+    for tok in tokens:
+        if tok.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESS_RE.search(tok.string)
+        if match is None:
+            continue
+        codes = [c.strip() for c in match.group(1).split(",")]
+        out.setdefault(tok.start[0], []).extend(
+            c.lower() if c.lower() == _ALL else c.upper() for c in codes if c
+        )
+    return out
 
 
 def apply_suppressions(
     project: Project,
     findings: list[Finding],
-    active_codes: frozenset[str] = ANALYZER_CODES,
+    active_codes: frozenset[str] = frozenset(CODES),
 ) -> list[Finding]:
     """Drop inline-suppressed findings; report unused suppressions.
 
     ``active_codes`` is the set of codes the run could have emitted;
-    suppressions for other analyzer codes are left alone (neither
-    applied nor reported unused), so a ``--columnar``-only run does
-    not flag a legitimate RPR104 suppression as stale.
+    suppressions for other known codes are left alone (neither applied
+    nor reported unused), so a ``--select RPR301``-only run does not
+    flag a legitimate RPR104 suppression as stale.
     """
     by_relpath: dict[str, dict[int, list[str]]] = {}
     for mod in project.modules.values():
-        sup = parse_suppressions(mod.source, tool=ANALYZE_TOOL)
+        sup = parse_suppressions(mod.source)
         if sup:
             by_relpath[mod.relpath] = sup
 
@@ -76,14 +94,14 @@ def apply_suppressions(
         for line in sorted(suppressions):
             codes = suppressions[line]
             if META_CODE in codes:
-                continue  # explicitly waived, mirroring kdd-lint
+                continue  # explicitly waived, e.g. shared fixture lines
             for code in codes:
                 if (mod.relpath, line, code) in used:
                     continue
-                if code != _ALL and code not in ANALYZER_CODES:
-                    message = f"suppression of unknown analyzer rule {code}"
+                if code != _ALL and code not in CODES:
+                    message = f"suppression of unknown rule {code}"
                 elif code != _ALL and code not in active_codes:
-                    continue  # family not part of this run
+                    continue  # code not part of this run
                 else:
                     message = (
                         f"unused suppression of {code}: no {code} finding "

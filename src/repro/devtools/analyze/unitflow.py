@@ -1,8 +1,8 @@
 """Flow-sensitive unit taint (RPR104).
 
-The lexical rule (kdd-lint RPR007) only sees unit mixing when *both*
-operands are helpfully named at the point of use.  This analysis runs
-an intraprocedural forward dataflow instead: a unit (``bytes``,
+A lexical check only sees unit mixing when *both* operands are
+helpfully named at the point of use.  This analysis runs an
+intraprocedural forward dataflow instead: a unit (``bytes``,
 ``pages``, ``ms``, ``seconds``) attaches to a value at a naming site or
 a known-converter call and then propagates through assignments,
 augmented assignments, returns, and resolved project-call boundaries —
@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 import re
 
-from ..lint.findings import Finding
+from .findings import Finding
 from .project import FuncInfo, ModuleInfo, Project, finding_at
 
 _TOKEN_SPLIT = re.compile(r"[_\W]+")
@@ -88,7 +88,14 @@ class _FunctionUnits:
             return self.unit_of(expr.operand)
         if isinstance(expr, ast.Call):
             return self._call_unit(expr)
+        if isinstance(expr, ast.Compare):
+            operands = [expr.left, *expr.comparators]
+            units = [self.unit_of(op) for op in operands]
+            for left, right in zip(units, units[1:]):
+                self._check_conflict(expr, left, right)
+            return None
         if isinstance(expr, ast.IfExp):
+            self.unit_of(expr.test)
             a, b = self.unit_of(expr.body), self.unit_of(expr.orelse)
             return a if a == b else None
         if isinstance(expr, (ast.Constant, ast.List, ast.Tuple, ast.Dict,

@@ -34,7 +34,7 @@ keep rows byte-identical (see DESIGN.md, "What must stay
 event-ordered").
 
 This module is deliberately outside :mod:`repro.sim`/:mod:`repro.core`
-so it may read the wall clock (kdd-lint RPR001 exempts the harness).
+so it may read the wall clock (RPR002 exempts the application layer).
 """
 
 from __future__ import annotations

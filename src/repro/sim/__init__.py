@@ -1,14 +1,10 @@
 """Discrete-event timing simulation (the 'prototype' measurements)."""
 
 from .closedloop import FioConfig, run_closed_loop
-from .devices import DiskServer, ServiceWindow, SSDServer
 from .openloop import replay_trace
 from .system import TimedSystem, TimingReport
 
 __all__ = [
-    "DiskServer",
-    "SSDServer",
-    "ServiceWindow",
     "TimedSystem",
     "TimingReport",
     "replay_trace",

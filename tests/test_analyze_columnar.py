@@ -8,9 +8,7 @@ mirror and the hot-loop lint bites on ``Trace.__iter__``).
 """
 
 import json
-from pathlib import Path
 
-from repro.devtools.analyze import Project
 from repro.devtools.analyze.columnar import (
     ColumnarAnalysis,
     check_columnar,
@@ -18,26 +16,7 @@ from repro.devtools.analyze.columnar import (
     parse_spec,
 )
 
-SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
-
-#: Mini twin of repro.contracts: the analyzer resolves the decorators
-#: by their project ids, so the fixture tree needs real definitions.
-MINI_CONTRACTS = """\
-    def columnar(dtypes=None, shapes=None):
-        def mark(func):
-            func.__columnar__ = {
-                "dtypes": dict(dtypes or {}),
-                "shapes": dict(shapes or {}),
-            }
-            return func
-        return mark
-
-
-    def mutates_membership(func):
-        func.__mutates_membership__ = True
-        return func
-"""
-
+from tests.analyze_fixtures import MINI_CONTRACTS, SRC_REPRO
 
 def codes(findings):
     return sorted(f.code for f in findings)
@@ -46,8 +25,8 @@ def codes(findings):
 class TestIndexDtypeFlow:
     """RPR301: address/index columns must stay 64-bit integers."""
 
-    def test_narrowing_astype_of_index_array_fires(self, analyze_tree):
-        project = analyze_tree({
+    def test_narrowing_astype_of_index_array_fires(self, project_from):
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -59,8 +38,8 @@ class TestIndexDtypeFlow:
         assert codes(findings) == ["RPR301"]
         assert "index column cast to int32" in findings[0].message
 
-    def test_narrow_dtype_literal_on_index_binding_fires(self, analyze_tree):
-        project = analyze_tree({
+    def test_narrow_dtype_literal_on_index_binding_fires(self, project_from):
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -74,8 +53,8 @@ class TestIndexDtypeFlow:
         assert "index name 'pages' bound to a int32 array" \
             in findings[0].message
 
-    def test_true_division_promotes_index_to_float(self, analyze_tree):
-        project = analyze_tree({
+    def test_true_division_promotes_index_to_float(self, project_from):
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -87,8 +66,8 @@ class TestIndexDtypeFlow:
         assert codes(findings) == ["RPR301"]
         assert "promoted to float" in findings[0].message
 
-    def test_floor_division_of_index_is_clean(self, analyze_tree):
-        project = analyze_tree({
+    def test_floor_division_of_index_is_clean(self, project_from):
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -101,10 +80,10 @@ class TestIndexDtypeFlow:
         })
         assert check_columnar(project) == []
 
-    def test_count_names_are_not_index_tainted(self, analyze_tree):
+    def test_count_names_are_not_index_tainted(self, project_from):
         # npages is one token (a count), not an address: narrowing it
         # is not an RPR301 (RPR302's unit lattice governs it instead).
-        project = analyze_tree({
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -116,9 +95,9 @@ class TestIndexDtypeFlow:
         assert check_columnar(project) == []
 
     def test_declared_argument_contract_checked_at_call_site(
-        self, analyze_tree
+        self, project_from
     ):
-        project = analyze_tree({
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "core/flow.py": """\
                 import numpy as np
@@ -138,8 +117,8 @@ class TestIndexDtypeFlow:
         assert "argument 'lbas' of classify()" in findings[0].message
         assert "int64|uint64" in findings[0].message
 
-    def test_conforming_call_site_is_clean(self, analyze_tree):
-        project = analyze_tree({
+    def test_conforming_call_site_is_clean(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "core/flow.py": """\
                 import numpy as np
@@ -156,8 +135,8 @@ class TestIndexDtypeFlow:
         })
         assert check_columnar(project) == []
 
-    def test_declared_return_contract_checked_in_body(self, analyze_tree):
-        project = analyze_tree({
+    def test_declared_return_contract_checked_in_body(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "core/flow.py": """\
                 import numpy as np
@@ -177,8 +156,8 @@ class TestIndexDtypeFlow:
 class TestUnsafeCasts:
     """RPR302: truncating and unit-carrying narrow casts."""
 
-    def test_unrounded_float_to_int_astype_fires(self, analyze_tree):
-        project = analyze_tree({
+    def test_unrounded_float_to_int_astype_fires(self, project_from):
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -191,11 +170,11 @@ class TestUnsafeCasts:
         assert codes(findings) == ["RPR302"]
         assert "truncating float->int64 cast" in findings[0].message
 
-    def test_floor_divide_then_astype_is_clean(self, analyze_tree):
+    def test_floor_divide_then_astype_is_clean(self, project_from):
         # The windowing idiom the production code uses (streaming.py,
         # traces/analysis.py): an explicit rounding step clears the
         # truncation hazard.
-        project = analyze_tree({
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -208,8 +187,8 @@ class TestUnsafeCasts:
         })
         assert check_columnar(project) == []
 
-    def test_unit_carrying_narrow_cast_fires(self, analyze_tree):
-        project = analyze_tree({
+    def test_unit_carrying_narrow_cast_fires(self, project_from):
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -222,8 +201,8 @@ class TestUnsafeCasts:
         assert "unit-carrying cast" in findings[0].message
         assert "narrowed to int32" in findings[0].message
 
-    def test_unit_preserving_wide_cast_is_clean(self, analyze_tree):
-        project = analyze_tree({
+    def test_unit_preserving_wide_cast_is_clean(self, project_from):
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -237,8 +216,8 @@ class TestUnsafeCasts:
 class TestMirrorAliasing:
     """RPR303: writes through arrays derived from the CacheSets mirror."""
 
-    def test_subscript_write_through_derived_row_fires(self, analyze_tree):
-        project = analyze_tree({
+    def test_subscript_write_through_derived_row_fires(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "cache/sets.py": """\
                 import numpy as np
@@ -257,8 +236,8 @@ class TestMirrorAliasing:
         assert "membership-mirror write" in findings[0].message
         assert "subscript assignment" in findings[0].message
 
-    def test_augmented_write_through_view_fires(self, analyze_tree):
-        project = analyze_tree({
+    def test_augmented_write_through_view_fires(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "cache/sets.py": """\
                 import numpy as np
@@ -276,8 +255,8 @@ class TestMirrorAliasing:
         assert codes(findings) == ["RPR303"]
         assert "augmented assignment" in findings[0].message
 
-    def test_np_put_on_mirror_fires(self, analyze_tree):
-        project = analyze_tree({
+    def test_np_put_on_mirror_fires(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "cache/sets.py": """\
                 import numpy as np
@@ -294,8 +273,8 @@ class TestMirrorAliasing:
         assert codes(findings) == ["RPR303"]
         assert "np.put()" in findings[0].message
 
-    def test_choke_point_writes_are_admitted(self, analyze_tree):
-        project = analyze_tree({
+    def test_choke_point_writes_are_admitted(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "cache/sets.py": """\
                 import numpy as np
@@ -314,10 +293,10 @@ class TestMirrorAliasing:
         })
         assert check_columnar(project) == []
 
-    def test_copies_of_the_mirror_are_writable(self, analyze_tree):
+    def test_copies_of_the_mirror_are_writable(self, project_from):
         # .copy() (and np.sort etc.) drop mirror taint: a snapshot is
         # not the directory.
-        project = analyze_tree({
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "cache/sets.py": """\
                 import numpy as np
@@ -338,8 +317,8 @@ class TestMirrorAliasing:
 class TestMaskMisuse:
     """RPR304: boolean-mask misuse."""
 
-    def test_python_and_on_mask_arrays_fires(self, analyze_tree):
-        project = analyze_tree({
+    def test_python_and_on_mask_arrays_fires(self, project_from):
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -351,8 +330,8 @@ class TestMaskMisuse:
         assert codes(findings) == ["RPR304"]
         assert "'and' on a mask array" in findings[0].message
 
-    def test_bitwise_mask_combination_is_clean(self, analyze_tree):
-        project = analyze_tree({
+    def test_bitwise_mask_combination_is_clean(self, project_from):
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -362,10 +341,10 @@ class TestMaskMisuse:
         })
         assert check_columnar(project) == []
 
-    def test_scalar_comparisons_may_use_and(self, analyze_tree):
+    def test_scalar_comparisons_may_use_and(self, project_from):
         # Scalar subscripts drop the array flag: ordinary python
         # boolean logic on elements is not a mask misuse.
-        project = analyze_tree({
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -375,8 +354,8 @@ class TestMaskMisuse:
         })
         assert check_columnar(project) == []
 
-    def test_chained_fancy_index_assignment_fires(self, analyze_tree):
-        project = analyze_tree({
+    def test_chained_fancy_index_assignment_fires(self, project_from):
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -388,8 +367,8 @@ class TestMaskMisuse:
         assert codes(findings) == ["RPR304"]
         assert "temporary copy" in findings[0].message
 
-    def test_single_subscript_assignment_is_clean(self, analyze_tree):
-        project = analyze_tree({
+    def test_single_subscript_assignment_is_clean(self, project_from):
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -403,8 +382,8 @@ class TestMaskMisuse:
 class TestHotLoops:
     """RPR305: scalar loops in designated hot modules."""
 
-    def test_for_over_ndarray_in_hot_module_fires(self, analyze_tree):
-        project = analyze_tree({
+    def test_for_over_ndarray_in_hot_module_fires(self, project_from):
+        project = project_from({
             "cache/common.py": """\
                 import numpy as np
 
@@ -421,8 +400,8 @@ class TestHotLoops:
             in findings[0].message
         assert "repro.cache.common" in findings[0].message
 
-    def test_tolist_first_is_clean(self, analyze_tree):
-        project = analyze_tree({
+    def test_tolist_first_is_clean(self, project_from):
+        project = project_from({
             "cache/common.py": """\
                 import numpy as np
 
@@ -435,8 +414,8 @@ class TestHotLoops:
         })
         assert check_columnar(project) == []
 
-    def test_same_loop_outside_hot_modules_is_clean(self, analyze_tree):
-        project = analyze_tree({
+    def test_same_loop_outside_hot_modules_is_clean(self, project_from):
+        project = project_from({
             "core/flow.py": """\
                 import numpy as np
 
@@ -449,10 +428,10 @@ class TestHotLoops:
         })
         assert check_columnar(project) == []
 
-    def test_allowlisted_function_is_admitted(self, analyze_tree):
+    def test_allowlisted_function_is_admitted(self, project_from):
         # repro.traces.trace:Trace.__iter__ is the documented scalar
         # protocol; the allowlist admits it by project id.
-        project = analyze_tree({
+        project = project_from({
             "traces/trace.py": """\
                 import numpy as np
 
@@ -471,8 +450,8 @@ class TestHotLoops:
 class TestDeclarations:
     """@columnar declaration parsing and malformed-declaration reporting."""
 
-    def test_uncalled_decorator_is_reported(self, analyze_tree):
-        project = analyze_tree({
+    def test_uncalled_decorator_is_reported(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "core/flow.py": """\
                 from ..contracts import columnar
@@ -486,8 +465,8 @@ class TestDeclarations:
         assert codes(findings) == ["RPR301"]
         assert "must be called" in findings[0].message
 
-    def test_non_literal_declaration_is_reported(self, analyze_tree):
-        project = analyze_tree({
+    def test_non_literal_declaration_is_reported(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "core/flow.py": """\
                 from ..contracts import columnar
@@ -503,8 +482,8 @@ class TestDeclarations:
         assert codes(findings) == ["RPR301"]
         assert "not a literal dict" in findings[0].message
 
-    def test_unknown_spec_string_is_reported(self, analyze_tree):
-        project = analyze_tree({
+    def test_unknown_spec_string_is_reported(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "core/flow.py": """\
                 from ..contracts import columnar
@@ -519,8 +498,8 @@ class TestDeclarations:
         assert "'int65' for 'lbas' is not a recognised dtype spec" \
             in findings[0].message
 
-    def test_shape_entry_must_name_a_parameter(self, analyze_tree):
-        project = analyze_tree({
+    def test_shape_entry_must_name_a_parameter(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "core/flow.py": """\
                 from ..contracts import columnar
@@ -535,8 +514,8 @@ class TestDeclarations:
         assert "names neither a parameter nor a declared column" \
             in findings[0].message
 
-    def test_shared_shape_symbol_checked_at_call_site(self, analyze_tree):
-        project = analyze_tree({
+    def test_shared_shape_symbol_checked_at_call_site(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "core/flow.py": """\
                 import numpy as np
@@ -556,8 +535,8 @@ class TestDeclarations:
         assert "share shape (n,)" in findings[0].message
         assert "sliced differently" in findings[0].message
 
-    def test_identically_sliced_arguments_are_clean(self, analyze_tree):
-        project = analyze_tree({
+    def test_identically_sliced_arguments_are_clean(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "core/flow.py": """\
                 import numpy as np
@@ -574,8 +553,8 @@ class TestDeclarations:
         })
         assert check_columnar(project) == []
 
-    def test_named_column_types_body_locals(self, analyze_tree):
-        project = analyze_tree({
+    def test_named_column_types_body_locals(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "core/flow.py": """\
                 import numpy as np
@@ -604,19 +583,11 @@ class TestDeclarations:
 
 
 class TestRealTree:
-    def test_src_repro_is_columnar_clean(self):
-        project = Project.load([SRC_REPRO])
-        assert check_columnar(project) == []
-
-    def test_findings_and_report_are_discovery_order_invariant(self):
-        forward = Project.load(sorted(SRC_REPRO.rglob("*.py")))
-        backward = Project.load(sorted(SRC_REPRO.rglob("*.py"), reverse=True))
-        assert [f.render() for f in check_columnar(forward)] == \
-            [f.render() for f in check_columnar(backward)]
-        assert columnar_report(forward) == columnar_report(backward)
+    def test_src_repro_is_columnar_clean(self, real_project):
+        assert check_columnar(real_project) == []
 
     def test_narrowing_the_production_mirror_fails_the_contract(
-        self, analyze_tree
+        self, project_from
     ):
         # Acceptance proof: narrow the CacheSets mirror to int32 in the
         # otherwise-identical production source and RPR301 must fire at
@@ -625,7 +596,7 @@ class TestRealTree:
         contracts_src = (SRC_REPRO / "contracts.py").read_text()
         broken = sets_src.replace("dtype=np.int64", "dtype=np.int32")
         assert broken != sets_src
-        project = analyze_tree({
+        project = project_from({
             "contracts.py": contracts_src,
             "cache/sets.py": broken,
         })
@@ -635,22 +606,23 @@ class TestRealTree:
         assert any("_lba_table" in f.message and "int32" in f.message
                    for f in findings)
 
-    def test_emptying_the_allowlist_fires_on_trace_iter(self, monkeypatch):
+    def test_emptying_the_allowlist_fires_on_trace_iter(self, monkeypatch,
+                                                        real_project):
         # Acceptance proof on the production tree: Trace.__iter__ is a
         # real scalar loop in a hot module, admitted only by the
         # explicit allowlist.
         import repro.devtools.analyze.columnar as columnar_mod
 
         monkeypatch.setattr(columnar_mod, "HOT_ALLOWLIST", frozenset())
-        project = Project.load([SRC_REPRO])
-        findings = check_columnar(project)
+        findings = check_columnar(real_project)
         assert any(
             f.code == "RPR305" and "Trace.__iter__" in f.message
             for f in findings
         )
 
-    def test_declared_surface_matches_production_contracts(self):
-        analysis = ColumnarAnalysis(Project.load([SRC_REPRO]))
+    def test_declared_surface_matches_production_contracts(self,
+                                                           real_project):
+        analysis = ColumnarAnalysis(real_project)
         declared = set(analysis.decls)
         # The batch membership API carries explicit contracts...
         assert "repro.cache.sets:CacheSets.classify" in declared
@@ -659,8 +631,8 @@ class TestRealTree:
         assert "repro.cache.common:SetAssocPolicy._columnar_chunk" in declared
         assert "repro.traces.trace:Trace.page_accesses" in declared
 
-    def test_columnar_report_shape(self):
-        doc = json.loads(columnar_report(Project.load([SRC_REPRO])))
+    def test_columnar_report_shape(self, real_project):
+        doc = json.loads(columnar_report(real_project))
         assert doc["version"] == 1
         assert sorted(doc["rules"]) == \
             ["RPR301", "RPR302", "RPR303", "RPR304", "RPR305"]

@@ -7,16 +7,13 @@ mutation test showing the epoch-bump contract actually bites on the
 production ``CacheSets``).
 """
 
-from pathlib import Path
-
-from repro.devtools.analyze import Project
 from repro.devtools.analyze.effects import (
     EffectAnalysis,
     check_effects,
     effects_report,
 )
 
-SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
+from tests.analyze_fixtures import SRC_REPRO
 
 #: Mini twin of repro.contracts: the analyzer resolves the decorator
 #: by its project id, so the fixture tree needs a real definition.
@@ -32,8 +29,8 @@ def codes(findings):
 
 
 class TestMirrorCoherence:
-    def test_undecorated_membership_write_is_rpr201(self, analyze_tree):
-        project = analyze_tree({
+    def test_undecorated_membership_write_is_rpr201(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "cache/sets.py": """\
                 class CacheSets:
@@ -50,8 +47,8 @@ class TestMirrorCoherence:
         assert "'_index'" in findings[0].message
         assert "alloc()" in findings[0].message
 
-    def test_mutator_call_on_membership_attr_is_rpr201(self, analyze_tree):
-        project = analyze_tree({
+    def test_mutator_call_on_membership_attr_is_rpr201(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "cache/sets.py": """\
                 class CacheSets:
@@ -65,8 +62,8 @@ class TestMirrorCoherence:
         })
         assert codes(check_effects(project)) == ["RPR201"]
 
-    def test_epoch_write_outside_choke_point_is_rpr201(self, analyze_tree):
-        project = analyze_tree({
+    def test_epoch_write_outside_choke_point_is_rpr201(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "cache/sets.py": """\
                 class CacheSets:
@@ -81,8 +78,8 @@ class TestMirrorCoherence:
         assert codes(findings) == ["RPR201"]
         assert "'mutations'" in findings[0].message
 
-    def test_foreign_write_through_sets_attr_is_rpr201(self, analyze_tree):
-        project = analyze_tree({
+    def test_foreign_write_through_sets_attr_is_rpr201(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "cache/sets.py": """\
                 import numpy as np
@@ -108,8 +105,8 @@ class TestMirrorCoherence:
         assert "outside the class" in findings[0].message
         assert "shortcut()" in findings[0].message
 
-    def test_decorated_choke_point_without_bump_is_rpr202(self, analyze_tree):
-        project = analyze_tree({
+    def test_decorated_choke_point_without_bump_is_rpr202(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "cache/sets.py": """\
                 from ..contracts import mutates_membership
@@ -129,8 +126,8 @@ class TestMirrorCoherence:
         assert "_membership_update()" in findings[0].message
         assert "'mutations'" in findings[0].message
 
-    def test_batch_reader_that_writes_membership_is_rpr203(self, analyze_tree):
-        project = analyze_tree({
+    def test_batch_reader_that_writes_membership_is_rpr203(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "cache/sets.py": """\
                 from ..contracts import mutates_membership
@@ -155,8 +152,8 @@ class TestMirrorCoherence:
         assert codes(findings) == ["RPR203"]
         assert "classify()" in findings[0].message
 
-    def test_conforming_sets_class_is_clean(self, analyze_tree):
-        project = analyze_tree({
+    def test_conforming_sets_class_is_clean(self, project_from):
+        project = project_from({
             "contracts.py": MINI_CONTRACTS,
             "cache/sets.py": """\
                 from ..contracts import mutates_membership
@@ -192,8 +189,8 @@ class TestMirrorCoherence:
 
 
 class TestFastPathSubsumption:
-    def test_fast_write_beyond_scalar_set_is_rpr204(self, analyze_tree):
-        project = analyze_tree({
+    def test_fast_write_beyond_scalar_set_is_rpr204(self, project_from):
+        project = project_from({
             "cache/common.py": """\
                 class Policy:
                     def __init__(self):
@@ -213,11 +210,11 @@ class TestFastPathSubsumption:
         assert "'shadow'" in findings[0].message
         assert "_write_fast()" in findings[0].message
 
-    def test_subsumption_holds_through_helper_calls(self, analyze_tree):
+    def test_subsumption_holds_through_helper_calls(self, project_from):
         # The write-set closure crosses call boundaries: the scalar
         # path writes via a helper, the fast path directly, and the
         # FastAccounting delta surface (_fast) is always admissible.
-        project = analyze_tree({
+        project = project_from({
             "cache/common.py": """\
                 class Policy:
                     def __init__(self):
@@ -237,8 +234,8 @@ class TestFastPathSubsumption:
         })
         assert check_effects(project) == []
 
-    def test_inherited_scalar_write_set_subsumes_override(self, analyze_tree):
-        project = analyze_tree({
+    def test_inherited_scalar_write_set_subsumes_override(self, project_from):
+        project = project_from({
             "cache/common.py": """\
                 class Base:
                     def __init__(self):
@@ -259,8 +256,8 @@ class TestFastPathSubsumption:
 
 
 class TestSweepRaces:
-    def test_module_dict_mutation_in_worker_is_rpr205(self, analyze_tree):
-        project = analyze_tree({
+    def test_module_dict_mutation_in_worker_is_rpr205(self, project_from):
+        project = project_from({
             "harness/sweep.py": """\
                 _CACHE = {}
 
@@ -276,8 +273,8 @@ class TestSweepRaces:
         assert "_remember()" in findings[0].message
         assert "_execute_cell" in findings[0].message
 
-    def test_global_statement_in_worker_is_rpr205(self, analyze_tree):
-        project = analyze_tree({
+    def test_global_statement_in_worker_is_rpr205(self, project_from):
+        project = project_from({
             "harness/sweep.py": """\
                 _COUNT = 0
 
@@ -290,8 +287,8 @@ class TestSweepRaces:
         assert codes(findings) == ["RPR205"]
         assert "'_COUNT'" in findings[0].message
 
-    def test_class_attribute_write_in_worker_is_rpr205(self, analyze_tree):
-        project = analyze_tree({
+    def test_class_attribute_write_in_worker_is_rpr205(self, project_from):
+        project = project_from({
             "harness/sweep.py": """\
                 class Config:
                     limit = 3
@@ -304,8 +301,8 @@ class TestSweepRaces:
         assert codes(findings) == ["RPR205"]
         assert "Config.limit" in findings[0].message
 
-    def test_engine_hook_methods_are_worker_entries(self, analyze_tree):
-        project = analyze_tree({
+    def test_engine_hook_methods_are_worker_entries(self, project_from):
+        project = project_from({
             "engine/hooks.py": """\
                 class EngineHook:
                     def on_request(self, op):
@@ -325,8 +322,8 @@ class TestSweepRaces:
         assert codes(findings) == ["RPR205"]
         assert "CountingHook.on_request()" in findings[0].message
 
-    def test_lru_cache_in_worker_is_rpr206(self, analyze_tree):
-        project = analyze_tree({
+    def test_lru_cache_in_worker_is_rpr206(self, project_from):
+        project = project_from({
             "harness/sweep.py": """\
                 from functools import lru_cache
 
@@ -343,10 +340,10 @@ class TestSweepRaces:
         assert "@lru_cache" in findings[0].message
         assert "_double()" in findings[0].message
 
-    def test_allowlisted_memo_is_accepted(self, analyze_tree):
+    def test_allowlisted_memo_is_accepted(self, project_from):
         # repro.harness.sweep:_trace_for is the documented per-process
         # trace memo; the allowlist admits it by project id.
-        project = analyze_tree({
+        project = project_from({
             "harness/sweep.py": """\
                 from functools import lru_cache
 
@@ -360,8 +357,8 @@ class TestSweepRaces:
         })
         assert check_effects(project) == []
 
-    def test_unreachable_module_state_is_not_flagged(self, analyze_tree):
-        project = analyze_tree({
+    def test_unreachable_module_state_is_not_flagged(self, project_from):
+        project = project_from({
             "harness/sweep.py": """\
                 def _execute_cell(cell):
                     return cell
@@ -377,19 +374,11 @@ class TestSweepRaces:
 
 
 class TestRealTree:
-    def test_src_repro_is_effects_clean(self):
-        project = Project.load([SRC_REPRO])
-        assert check_effects(project) == []
+    def test_src_repro_is_effects_clean(self, real_project):
+        assert check_effects(real_project) == []
 
-    def test_findings_and_report_are_discovery_order_invariant(self):
-        forward = Project.load(sorted(SRC_REPRO.rglob("*.py")))
-        backward = Project.load(sorted(SRC_REPRO.rglob("*.py"), reverse=True))
-        assert [f.render() for f in check_effects(forward)] == \
-            [f.render() for f in check_effects(backward)]
-        assert effects_report(forward) == effects_report(backward)
-
-    def test_effect_model_matches_the_production_contract(self):
-        analysis = EffectAnalysis(Project.load([SRC_REPRO]))
+    def test_effect_model_matches_the_production_contract(self, real_project):
+        analysis = EffectAnalysis(real_project)
         # Exactly one choke point, and it is the CacheSets API.
         assert analysis.choke_points() == \
             ["repro.cache.sets:CacheSets._membership_update"]
@@ -403,14 +392,14 @@ class TestRealTree:
         assert "repro.harness.sweep:_execute_cell" in entries
         assert any(e.startswith("repro.engine.hooks:") for e in entries)
 
-    def test_removing_the_epoch_bump_fails_the_contract(self, analyze_tree):
+    def test_removing_the_epoch_bump_fails_the_contract(self, project_from):
         # Acceptance proof: strip the bump from the production choke
         # point and RPR202 must fire on the otherwise-identical tree.
         sets_src = (SRC_REPRO / "cache" / "sets.py").read_text()
         contracts_src = (SRC_REPRO / "contracts.py").read_text()
         broken = sets_src.replace("self.mutations += 1", "pass")
         assert broken != sets_src
-        project = analyze_tree({
+        project = project_from({
             "contracts.py": contracts_src,
             "cache/sets.py": broken,
         })
@@ -418,10 +407,10 @@ class TestRealTree:
         assert codes(findings) == ["RPR202"]
         assert "_membership_update()" in findings[0].message
 
-    def test_effects_report_shape(self, tmp_path):
+    def test_effects_report_shape(self, real_project):
         import json
 
-        doc = json.loads(effects_report(Project.load([SRC_REPRO])))
+        doc = json.loads(effects_report(real_project))
         assert doc["version"] == 1
         assert doc["membership"]["epoch"] == "mutations"
         assert sorted(doc["membership"]["attrs"]) == \
@@ -502,12 +491,12 @@ def recovery_tree(**overrides):
 
 
 class TestRecoverySurface:
-    def test_conforming_recovery_stack_is_clean(self, analyze_tree):
-        project = analyze_tree(recovery_tree())
+    def test_conforming_recovery_stack_is_clean(self, project_from):
+        project = project_from(recovery_tree())
         assert check_effects(project) == []
 
-    def test_direct_read_outside_roots_is_rpr207(self, analyze_tree):
-        project = analyze_tree(recovery_tree(**{
+    def test_direct_read_outside_roots_is_rpr207(self, project_from):
+        project = project_from(recovery_tree(**{
             "core/recovery.py": """\
                 def recover_from_power_failure(kdd):
                     mapping = kdd.mlog.replay()
@@ -521,32 +510,32 @@ class TestRecoverySurface:
         assert "'sets'" in findings[0].message
         assert "recover_from_power_failure()" in findings[0].message
 
-    def test_interprocedural_volatile_read_is_rpr207(self, analyze_tree):
+    def test_interprocedural_volatile_read_is_rpr207(self, project_from):
         # The entry point itself is conforming; the escape is one call
         # deep, inside the surface class -- the closure must follow it.
         mlog = MINI_RECOVERY_STACK["cache/mlog.py"].replace(
             "out = {}", "out = dict(self._shadow_map)")
         assert mlog != MINI_RECOVERY_STACK["cache/mlog.py"]
-        project = analyze_tree(recovery_tree(**{"cache/mlog.py": mlog}))
+        project = project_from(recovery_tree(**{"cache/mlog.py": mlog}))
         findings = check_effects(project)
         assert codes(findings) == ["RPR207"]
         assert "MetadataLog._shadow_map" in findings[0].message
         assert "MetadataLog.replay()" in findings[0].message
 
-    def test_two_level_closure_through_sub_object_is_rpr207(self, analyze_tree):
+    def test_two_level_closure_through_sub_object_is_rpr207(self, project_from):
         # recovery -> mlog.nvram_entries -> buffer.snapshot: a volatile
         # read at the third hop must still surface.
         buf = MINI_RECOVERY_STACK["nvram/metabuffer.py"].replace(
             "return list(self._entries.values())",
             "return list(self._hot_index) + list(self._entries.values())")
         assert buf != MINI_RECOVERY_STACK["nvram/metabuffer.py"]
-        project = analyze_tree(recovery_tree(**{"nvram/metabuffer.py": buf}))
+        project = project_from(recovery_tree(**{"nvram/metabuffer.py": buf}))
         findings = check_effects(project)
         assert codes(findings) == ["RPR207"]
         assert "MetadataBuffer._hot_index" in findings[0].message
 
-    def test_passing_crashed_object_onward_is_rpr207(self, analyze_tree):
-        project = analyze_tree(recovery_tree(**{
+    def test_passing_crashed_object_onward_is_rpr207(self, project_from):
+        project = project_from(recovery_tree(**{
             "core/recovery.py": """\
                 def _helper(kdd):
                     return kdd
@@ -561,18 +550,18 @@ class TestRecoverySurface:
         assert codes(findings) == ["RPR207"]
         assert "passes the crashed object" in findings[0].message
 
-    def test_real_tree_entry_is_present_and_clean(self):
+    def test_real_tree_entry_is_present_and_clean(self, real_project):
         # Guard against the rule silently no-opping: the production
         # entry point must exist under the exact id the rule binds to,
         # and its read-closure must stay inside the declared surface.
         from repro.devtools.analyze.effects import RECOVERY_ENTRY
 
-        project = Project.load([SRC_REPRO])
-        assert RECOVERY_ENTRY in project.functions
-        analysis = EffectAnalysis(project)
+        assert RECOVERY_ENTRY in real_project.functions
+        analysis = EffectAnalysis(real_project)
         assert analysis.check_recovery_surface() == []
 
-    def test_shrunk_surface_fires_on_real_tree(self, monkeypatch):
+    def test_shrunk_surface_fires_on_real_tree(self, monkeypatch,
+                                               real_project):
         # Acceptance proof on the production tree: hide one genuinely
         # consulted attribute from the declared surface and the rule
         # must fire at the real read site.
@@ -583,7 +572,7 @@ class TestRecoverySurface:
             for cls, attrs in effects_mod.RECOVERY_SURFACE.items()
         }
         monkeypatch.setattr(effects_mod, "RECOVERY_SURFACE", shrunk)
-        analysis = EffectAnalysis(Project.load([SRC_REPRO]))
+        analysis = EffectAnalysis(real_project)
         findings = analysis.check_recovery_surface()
         assert [f.code for f in findings] == ["RPR207"]
         assert "MetadataLog.buffer" in findings[0].message

@@ -6,14 +6,9 @@ tree's ``FaultPipelineHook`` escalation contract is proven at the end
 against the actual source.
 """
 
-from pathlib import Path
-
 import pytest
 
-from repro.devtools.analyze import Project
 from repro.devtools.analyze.excflow import ExceptionFlow, check_contracts
-
-SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Mini taxonomy mirroring repro.errors: root, ambient config error,
 #: sim/raid branches, and the @raises contract decorator.
@@ -46,8 +41,8 @@ def codes(findings):
 
 
 class TestUndeclaredRaise:
-    def test_public_entry_without_contract_is_rpr108(self, analyze_tree):
-        project = analyze_tree({
+    def test_public_entry_without_contract_is_rpr108(self, project_from):
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import SimulationError
@@ -63,8 +58,8 @@ class TestUndeclaredRaise:
         assert "submit()" in findings[0].message
         assert "SimulationError" in findings[0].message
 
-    def test_contract_missing_a_reachable_raise_is_rpr107(self, analyze_tree):
-        project = analyze_tree({
+    def test_contract_missing_a_reachable_raise_is_rpr107(self, project_from):
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import RaidError, SimulationError, raises
@@ -82,8 +77,8 @@ class TestUndeclaredRaise:
         assert "RaidError" not in findings[0].message.split(":")[-1].replace(
             "SimulationError", "")
 
-    def test_declaring_base_covers_subclasses(self, analyze_tree):
-        project = analyze_tree({
+    def test_declaring_base_covers_subclasses(self, project_from):
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import DegradedError, RaidError, raises
@@ -97,8 +92,8 @@ class TestUndeclaredRaise:
         })
         assert check_contracts(project) == []
 
-    def test_over_declaration_is_allowed(self, analyze_tree):
-        project = analyze_tree({
+    def test_over_declaration_is_allowed(self, project_from):
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import RaidError, SimulationError, raises
@@ -110,9 +105,9 @@ class TestUndeclaredRaise:
         })
         assert check_contracts(project) == []
 
-    def test_undeclared_raise_through_private_helper(self, analyze_tree):
+    def test_undeclared_raise_through_private_helper(self, project_from):
         """Interprocedural: the raise lives two private calls down."""
-        project = analyze_tree({
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import SimulationError
@@ -134,8 +129,8 @@ class TestUndeclaredRaise:
 
 
 class TestStructuredFlow:
-    def test_caught_exception_leaves_may_raise(self, analyze_tree):
-        project = analyze_tree({
+    def test_caught_exception_leaves_may_raise(self, project_from):
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import SimulationError
@@ -149,8 +144,8 @@ class TestStructuredFlow:
         })
         assert check_contracts(project) == []
 
-    def test_bare_raise_rethrows_the_caught_class(self, analyze_tree):
-        project = analyze_tree({
+    def test_bare_raise_rethrows_the_caught_class(self, project_from):
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import SimulationError
@@ -166,8 +161,8 @@ class TestStructuredFlow:
         assert codes(findings) == ["RPR108"]
         assert "SimulationError" in findings[0].message
 
-    def test_catching_base_subtracts_subclasses(self, analyze_tree):
-        project = analyze_tree({
+    def test_catching_base_subtracts_subclasses(self, project_from):
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import DegradedError, RaidError
@@ -181,10 +176,10 @@ class TestStructuredFlow:
         })
         assert check_contracts(project) == []
 
-    def test_escalation_pattern_translates_the_class(self, analyze_tree):
+    def test_escalation_pattern_translates_the_class(self, project_from):
         """except FaultClass -> raise Escalated: only the escalated
         class remains in the may-raise set (the escalation chain)."""
-        project = analyze_tree({
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import DegradedError, RaidError, raises
@@ -202,8 +197,8 @@ class TestStructuredFlow:
 
 
 class TestExemptions:
-    def test_config_error_is_ambient(self, analyze_tree):
-        project = analyze_tree({
+    def test_config_error_is_ambient(self, project_from):
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import ConfigError
@@ -216,8 +211,8 @@ class TestExemptions:
         })
         assert check_contracts(project) == []
 
-    def test_private_functions_are_not_entry_points(self, analyze_tree):
-        project = analyze_tree({
+    def test_private_functions_are_not_entry_points(self, project_from):
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import SimulationError
@@ -228,8 +223,8 @@ class TestExemptions:
         })
         assert check_contracts(project) == []
 
-    def test_non_entry_packages_are_not_checked(self, analyze_tree):
-        project = analyze_tree({
+    def test_non_entry_packages_are_not_checked(self, project_from):
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "harness/run.py": """\
                 from ..errors import SimulationError
@@ -240,8 +235,8 @@ class TestExemptions:
         })
         assert check_contracts(project) == []
 
-    def test_dunder_without_contract_is_exempt(self, analyze_tree):
-        project = analyze_tree({
+    def test_dunder_without_contract_is_exempt(self, project_from):
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import SimulationError
@@ -255,8 +250,8 @@ class TestExemptions:
         })
         assert check_contracts(project) == []
 
-    def test_dunder_with_contract_is_still_held_to_it(self, analyze_tree):
-        project = analyze_tree({
+    def test_dunder_with_contract_is_still_held_to_it(self, project_from):
+        project = project_from({
             "errors.py": MINI_ERRORS,
             "sim/api.py": """\
                 from ..errors import RaidError, SimulationError, raises
@@ -271,8 +266,8 @@ class TestExemptions:
 
 
 @pytest.fixture(scope="module")
-def real_flow():
-    return ExceptionFlow(Project.load([SRC_REPRO]))
+def real_flow(real_project):
+    return ExceptionFlow(real_project)
 
 
 class TestRealTreeEscalationProof:

@@ -10,20 +10,44 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tests.analyze_fixtures import write_fixture_tree
 from repro.devtools.analyze import Project, check_layering
 from repro.devtools.analyze.cli import analyze_project
 from repro.devtools.analyze.cli import main as analyze_main
 from repro.devtools.analyze.graphio import graph_dot, graph_json
 from repro.devtools.analyze.project import EDGE_DEFERRED, EDGE_TOP, EDGE_TYPING
 
-SRC_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
+from tests.analyze_fixtures import MINI_CONTRACTS, SRC_REPRO, write_fixture_tree
+
+CLEAN_FILES = {
+    "units.py": "KIB = 1024\n",
+    "sim/api.py": "from ..units import KIB\n\nCHUNK = 4 * KIB\n",
+}
+
+#: A clean tree with one membership choke point.
+EFFECTS_FILES = {
+    "contracts.py": MINI_CONTRACTS,
+    "cache/sets.py": """\
+        from ..contracts import mutates_membership
+
+
+        class CacheSets:
+            def __init__(self):
+                self._index = {}
+                self.mutations = 0
+
+            @mutates_membership
+            def _membership_update(self, lba):
+                self._index[lba] = lba
+                self.mutations += 1
+    """,
+}
+
+EFFECT_CODES = ",".join(f"RPR20{i}" for i in range(1, 8))
 
 
 def codes(findings):
@@ -31,8 +55,8 @@ def codes(findings):
 
 
 class TestProjectLoader:
-    def test_module_naming_and_packages(self, analyze_tree):
-        project = analyze_tree({
+    def test_module_naming_and_packages(self, project_from):
+        project = project_from({
             "units.py": "KIB = 1024\n",
             "sim/api.py": "from ..units import KIB\n",
         })
@@ -42,8 +66,8 @@ class TestProjectLoader:
         assert project.modules["repro.sim.api"].top_package == "sim"
         assert project.modules["repro.units"].top_package == "units"
 
-    def test_edge_kinds(self, analyze_tree):
-        project = analyze_tree({
+    def test_edge_kinds(self, project_from):
+        project = project_from({
             "units.py": "KIB = 1024\n",
             "stats/a.py": "x = 1\n",
             "sim/api.py": """\
@@ -65,8 +89,8 @@ class TestProjectLoader:
         assert ("repro.stats.a", EDGE_TYPING) in kinds
         assert ("repro.stats.a", EDGE_DEFERRED) in kinds
 
-    def test_relative_import_resolution(self, analyze_tree):
-        project = analyze_tree({
+    def test_relative_import_resolution(self, project_from):
+        project = project_from({
             "sim/a.py": "from .b import helper\n",
             "sim/b.py": "def helper():\n    return 1\n",
         })
@@ -76,16 +100,16 @@ class TestProjectLoader:
 
 
 class TestLayering:
-    def test_clean_tree_has_no_findings(self, analyze_tree):
-        project = analyze_tree({
+    def test_clean_tree_has_no_findings(self, project_from):
+        project = project_from({
             "units.py": "KIB = 1024\n",
             "sim/api.py": "from ..units import KIB\n",
             "harness/run.py": "from ..sim.api import KIB\n",
         })
         assert check_layering(project) == []
 
-    def test_import_cycle_is_rpr101(self, analyze_tree):
-        project = analyze_tree({
+    def test_import_cycle_is_rpr101(self, project_from):
+        project = project_from({
             "sim/a.py": "from .b import g\n\ndef f():\n    return g\n",
             "sim/b.py": "from .a import f\n\ndef g():\n    return f\n",
         })
@@ -94,15 +118,15 @@ class TestLayering:
         assert "repro.sim.a -> repro.sim.b" in findings[0].message or \
             "repro.sim.b -> repro.sim.a" in findings[0].message
 
-    def test_deferred_import_breaks_no_cycle(self, analyze_tree):
-        project = analyze_tree({
+    def test_deferred_import_breaks_no_cycle(self, project_from):
+        project = project_from({
             "sim/a.py": "from .b import g\n\ndef f():\n    return g\n",
             "sim/b.py": "def g():\n    from .a import f\n    return f\n",
         })
         assert [f for f in check_layering(project) if f.code == "RPR101"] == []
 
-    def test_upward_import_is_rpr102(self, analyze_tree):
-        project = analyze_tree({
+    def test_upward_import_is_rpr102(self, project_from):
+        project = project_from({
             "harness/runner.py": "def build():\n    return 1\n",
             "faults/exp.py": "from ..harness.runner import build\n",
         })
@@ -111,8 +135,8 @@ class TestLayering:
         assert "simulation" in findings[0].message
         assert "application" in findings[0].message
 
-    def test_deferred_upward_import_still_rpr102(self, analyze_tree):
-        project = analyze_tree({
+    def test_deferred_upward_import_still_rpr102(self, project_from):
+        project = project_from({
             "harness/runner.py": "def build():\n    return 1\n",
             "sim/api.py": """\
                 def f():
@@ -122,8 +146,8 @@ class TestLayering:
         })
         assert codes(check_layering(project)) == ["RPR102"]
 
-    def test_typing_only_upward_import_is_exempt(self, analyze_tree):
-        project = analyze_tree({
+    def test_typing_only_upward_import_is_exempt(self, project_from):
+        project = project_from({
             "harness/runner.py": "class Runner:\n    pass\n",
             "sim/api.py": """\
                 from typing import TYPE_CHECKING
@@ -137,8 +161,8 @@ class TestLayering:
         })
         assert check_layering(project) == []
 
-    def test_engine_core_ownership_is_rpr103(self, analyze_tree):
-        project = analyze_tree({
+    def test_engine_core_ownership_is_rpr103(self, project_from):
+        project = project_from({
             "engine/core.py": "class EventLoop:\n    pass\n",
             "engine/system.py": "from .core import EventLoop\n",
             "sim/api.py": "from ..engine.core import EventLoop\n",
@@ -150,8 +174,8 @@ class TestLayering:
 
 
 class TestGraphExport:
-    def test_json_and_dot_are_stable(self, analyze_tree):
-        project = analyze_tree({
+    def test_json_and_dot_are_stable(self, project_from):
+        project = project_from({
             "units.py": "KIB = 1024\n",
             "sim/api.py": "from ..units import KIB\n",
         })
@@ -167,10 +191,7 @@ class TestGraphExport:
 
 class TestCli:
     def test_clean_fixture_exits_zero(self, tmp_path, capsys):
-        pkg = write_fixture_tree(tmp_path, {
-            "units.py": "KIB = 1024\n",
-            "sim/api.py": "from ..units import KIB\n\nCHUNK = 4 * KIB\n",
-        })
+        pkg = write_fixture_tree(tmp_path, CLEAN_FILES)
         assert analyze_main([str(pkg)]) == 0
         assert "clean" in capsys.readouterr().out
 
@@ -196,20 +217,21 @@ class TestCli:
         capsys.readouterr()
         assert analyze_main([str(pkg), "--baseline", str(baseline)]) == 0
 
-    def test_kdd_repro_subcommand_delegation(self):
+    def test_kdd_repro_subcommand_delegation(self, tmp_path):
+        pkg = write_fixture_tree(tmp_path, CLEAN_FILES)
         out = subprocess.run(
             [sys.executable, "-m", "repro.harness.cli", "analyze",
-             str(SRC_REPRO), "--format", "json"],
+             str(pkg), "--format", "json"],
             capture_output=True, text=True,
-            cwd=str(SRC_REPRO.parent.parent),
-            env={**os.environ, "PYTHONPATH": "src"},
+            env={**os.environ, "PYTHONPATH": str(SRC_REPRO.parent)},
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["findings"] == []
 
     def test_effects_flag_runs_only_rpr2xx(self, tmp_path, capsys):
         # The fixture violates both RPR109 (unused import) and RPR201;
-        # --effects must report only the effect-contract family.
+        # --select with the effect codes (it replaced the --effects
+        # flag) must report only the effect-contract family.
         pkg = write_fixture_tree(tmp_path, {
             "contracts.py": "def mutates_membership(func):\n    return func\n",
             "cache/sets.py": (
@@ -225,26 +247,27 @@ class TestCli:
         assert analyze_main([str(pkg), "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert sorted(doc["counts"]) == ["RPR109", "RPR201"]
-        assert analyze_main([str(pkg), "--effects", "--format", "json"]) == 1
+        assert analyze_main([str(pkg), "--select", EFFECT_CODES,
+                             "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert sorted(doc["counts"]) == ["RPR201"]
 
     def test_effects_report_export(self, tmp_path, capsys):
+        pkg = write_fixture_tree(tmp_path, EFFECTS_FILES)
         report = tmp_path / "effects-report.json"
-        assert analyze_main([str(SRC_REPRO), "--effects",
-                             "--effects-report", str(report)]) == 0
+        assert analyze_main([str(pkg), "--effects-report", str(report)]) == 0
         assert "clean" in capsys.readouterr().out
         doc = json.loads(report.read_text(encoding="utf-8"))
         assert doc["membership"]["choke_points"] == \
             ["repro.cache.sets:CacheSets._membership_update"]
 
-    def test_kdd_repro_analyze_effects_smoke(self):
+    def test_kdd_repro_analyze_effects_smoke(self, tmp_path):
+        pkg = write_fixture_tree(tmp_path, EFFECTS_FILES)
         out = subprocess.run(
             [sys.executable, "-m", "repro.harness.cli", "analyze",
-             str(SRC_REPRO), "--effects", "--format", "json"],
+             str(pkg), "--select", EFFECT_CODES, "--format", "json"],
             capture_output=True, text=True,
-            cwd=str(SRC_REPRO.parent.parent),
-            env={**os.environ, "PYTHONPATH": "src"},
+            env={**os.environ, "PYTHONPATH": str(SRC_REPRO.parent)},
         )
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["findings"] == []

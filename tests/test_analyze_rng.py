@@ -15,8 +15,8 @@ def codes(findings):
 
 
 class TestSharedStream:
-    def test_stream_stored_into_two_attributes(self, analyze_tree):
-        project = analyze_tree({
+    def test_stream_stored_into_two_attributes(self, project_from):
+        project = project_from({
             "faults/sched.py": """\
                 import numpy as np
 
@@ -32,8 +32,8 @@ class TestSharedStream:
         assert "'rng'" in findings[0].message
         assert "2 owners" in findings[0].message
 
-    def test_alias_does_not_launder_the_stream(self, analyze_tree):
-        project = analyze_tree({
+    def test_alias_does_not_launder_the_stream(self, project_from):
+        project = project_from({
             "faults/sched.py": """\
                 import numpy as np
 
@@ -48,8 +48,8 @@ class TestSharedStream:
         findings = check_rng_provenance(project)
         assert codes(findings) == ["RPR105"]
 
-    def test_stream_shared_via_retaining_callee(self, analyze_tree):
-        project = analyze_tree({
+    def test_stream_shared_via_retaining_callee(self, project_from):
+        project = project_from({
             "disk/model.py": """\
                 class Disk:
                     def __init__(self, rng):
@@ -69,8 +69,8 @@ class TestSharedStream:
         assert codes(findings) == ["RPR105"]
         assert "repro.disk.model:Disk.__init__" in findings[0].message
 
-    def test_subscript_registry_counts_as_owner(self, analyze_tree):
-        project = analyze_tree({
+    def test_subscript_registry_counts_as_owner(self, project_from):
+        project = project_from({
             "faults/sched.py": """\
                 import numpy as np
 
@@ -83,9 +83,9 @@ class TestSharedStream:
         })
         assert codes(check_rng_provenance(project)) == ["RPR105"]
 
-    def test_per_device_loop_is_clean(self, analyze_tree):
+    def test_per_device_loop_is_clean(self, project_from):
         """The sanctioned pattern: one fresh derived stream per owner."""
-        project = analyze_tree({
+        project = project_from({
             "faults/sched.py": """\
                 import numpy as np
 
@@ -103,8 +103,8 @@ class TestSharedStream:
         })
         assert check_rng_provenance(project) == []
 
-    def test_non_retaining_callee_is_not_a_sink(self, analyze_tree):
-        project = analyze_tree({
+    def test_non_retaining_callee_is_not_a_sink(self, project_from):
+        project = project_from({
             "faults/sched.py": """\
                 import numpy as np
 
@@ -120,10 +120,10 @@ class TestSharedStream:
         })
         assert check_rng_provenance(project) == []
 
-    def test_stream_class_construction_tracked(self, analyze_tree):
+    def test_stream_class_construction_tracked(self, project_from):
         """A project class that builds a Generator in __init__ is itself
         a stream source; sharing one instance across owners is RPR105."""
-        project = analyze_tree({
+        project = project_from({
             "faults/stream.py": """\
                 import numpy as np
 
@@ -143,8 +143,8 @@ class TestSharedStream:
         })
         assert codes(check_rng_provenance(project)) == ["RPR105"]
 
-    def test_stream_returning_helper_tracked(self, analyze_tree):
-        project = analyze_tree({
+    def test_stream_returning_helper_tracked(self, project_from):
+        project = project_from({
             "faults/stream.py": """\
                 import numpy as np
 
@@ -165,8 +165,8 @@ class TestSharedStream:
 
 
 class TestModuleScope:
-    def test_module_global_stream_is_rpr106(self, analyze_tree):
-        project = analyze_tree({
+    def test_module_global_stream_is_rpr106(self, project_from):
+        project = project_from({
             "faults/sched.py": """\
                 import numpy as np
 
@@ -177,8 +177,8 @@ class TestModuleScope:
         assert codes(findings) == ["RPR106"]
         assert "module scope" in findings[0].message
 
-    def test_from_import_constructor_form(self, analyze_tree):
-        project = analyze_tree({
+    def test_from_import_constructor_form(self, project_from):
+        project = project_from({
             "faults/sched.py": """\
                 from numpy.random import default_rng
 
@@ -187,8 +187,8 @@ class TestModuleScope:
         })
         assert codes(check_rng_provenance(project)) == ["RPR106"]
 
-    def test_seed_constant_at_module_scope_is_fine(self, analyze_tree):
-        project = analyze_tree({
+    def test_seed_constant_at_module_scope_is_fine(self, project_from):
+        project = project_from({
             "faults/sched.py": """\
                 DEFAULT_SEED = 1234
             """,
@@ -199,8 +199,8 @@ class TestModuleScope:
 class TestServeSeedProvenance:
     """RPR111: serve-layer streams must be seeded via sha256."""
 
-    def test_raw_seed_in_serve_is_rpr111(self, analyze_tree):
-        project = analyze_tree({
+    def test_raw_seed_in_serve_is_rpr111(self, project_from):
+        project = project_from({
             "serve/composer.py": """\
                 import numpy as np
 
@@ -214,8 +214,8 @@ class TestServeSeedProvenance:
         assert codes(findings) == ["RPR111"]
         assert "sha256" in findings[0].message
 
-    def test_unseeded_serve_stream_is_rpr111(self, analyze_tree):
-        project = analyze_tree({
+    def test_unseeded_serve_stream_is_rpr111(self, project_from):
+        project = project_from({
             "serve/composer.py": """\
                 import numpy as np
 
@@ -225,8 +225,8 @@ class TestServeSeedProvenance:
         })
         assert codes(check_rng_provenance(project)) == ["RPR111"]
 
-    def test_inline_sha256_seed_is_clean(self, analyze_tree):
-        project = analyze_tree({
+    def test_inline_sha256_seed_is_clean(self, project_from):
+        project = project_from({
             "serve/composer.py": """\
                 import hashlib
 
@@ -242,9 +242,9 @@ class TestServeSeedProvenance:
         })
         assert check_rng_provenance(project) == []
 
-    def test_project_hashing_helper_is_clean(self, analyze_tree):
+    def test_project_hashing_helper_is_clean(self, project_from):
         """A seed routed through a helper that transitively hashes."""
-        project = analyze_tree({
+        project = project_from({
             "serve/seeds.py": """\
                 import hashlib
 
@@ -267,8 +267,8 @@ class TestServeSeedProvenance:
         })
         assert check_rng_provenance(project) == []
 
-    def test_local_name_carries_the_derivation(self, analyze_tree):
-        project = analyze_tree({
+    def test_local_name_carries_the_derivation(self, project_from):
+        project = project_from({
             "serve/seeds.py": """\
                 import hashlib
 
@@ -289,8 +289,8 @@ class TestServeSeedProvenance:
         })
         assert check_rng_provenance(project) == []
 
-    def test_hashed_self_method_is_clean(self, analyze_tree):
-        project = analyze_tree({
+    def test_hashed_self_method_is_clean(self, project_from):
+        project = project_from({
             "serve/composer.py": """\
                 import hashlib
 
@@ -308,10 +308,10 @@ class TestServeSeedProvenance:
         })
         assert check_rng_provenance(project) == []
 
-    def test_raw_seed_outside_serve_is_not_rpr111(self, analyze_tree):
+    def test_raw_seed_outside_serve_is_not_rpr111(self, project_from):
         """The obligation is scoped: other layers keep plain derived
         seeds (the fault scheduler's (seed, i) tuples stay legal)."""
-        project = analyze_tree({
+        project = project_from({
             "faults/sched.py": """\
                 import numpy as np
 

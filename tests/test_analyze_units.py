@@ -1,13 +1,18 @@
-"""Flow-sensitive unit taint (RPR104) and the RPR007 lexical fallback.
+"""Flow-sensitive unit taint (RPR104), including the former RPR007 cases.
 
 The dataflow analysis must catch taint laundered through blandly named
-locals and across resolved call boundaries — the cases the lexical
-kdd-lint rule structurally cannot see — while staying silent on rate
-names (``*_per_*``) and explicit conversions.
+locals and across resolved call boundaries — the cases a lexical rule
+structurally cannot see — while staying silent on rate names
+(``*_per_*``) and explicit conversions.  It also covers every case the
+retired lexical rule RPR007 caught: adding, subtracting, taking the
+remainder of, or comparing a bytes-named operand with a pages-named one.
 """
 
+import pytest
+
 from repro.devtools.analyze.unitflow import check_units, unit_of_name
-from repro.devtools.lint.engine import lint_paths
+
+from tests.analyze_fixtures import FORMER_RPR007_CLEAN, FORMER_RPR007_TRIGGERS
 
 
 def codes(findings):
@@ -31,8 +36,8 @@ class TestUnitOfName:
 
 
 class TestTaintThroughAssignment:
-    def test_binop_conflict_direct(self, analyze_tree):
-        project = analyze_tree({
+    def test_binop_conflict_direct(self, project_from):
+        project = project_from({
             "sim/api.py": """\
                 def f(size_bytes, latency_ms):
                     return size_bytes + latency_ms
@@ -43,9 +48,9 @@ class TestTaintThroughAssignment:
         assert "bytes" in findings[0].message
         assert "ms" in findings[0].message
 
-    def test_taint_survives_bland_local(self, analyze_tree):
+    def test_taint_survives_bland_local(self, project_from):
         """The case the lexical rule cannot see: taint via a plain name."""
-        project = analyze_tree({
+        project = project_from({
             "sim/api.py": """\
                 def f(size_bytes, dirty_pages):
                     tmp = size_bytes
@@ -56,8 +61,8 @@ class TestTaintThroughAssignment:
         assert codes(findings) == ["RPR104"]
         assert "pages_for_bytes" in findings[0].message
 
-    def test_assignment_to_unit_named_target(self, analyze_tree):
-        project = analyze_tree({
+    def test_assignment_to_unit_named_target(self, project_from):
+        project = project_from({
             "sim/api.py": """\
                 def f(latency_ms):
                     total_seconds = latency_ms
@@ -68,8 +73,8 @@ class TestTaintThroughAssignment:
         assert codes(findings) == ["RPR104"]
         assert "total_seconds" in findings[0].message
 
-    def test_division_clears_taint(self, analyze_tree):
-        project = analyze_tree({
+    def test_division_clears_taint(self, project_from):
+        project = project_from({
             "sim/api.py": """\
                 def f(size_bytes, page_size):
                     n_pages = size_bytes // page_size
@@ -78,8 +83,8 @@ class TestTaintThroughAssignment:
         })
         assert check_units(project) == []
 
-    def test_branch_merge_requires_agreement(self, analyze_tree):
-        project = analyze_tree({
+    def test_branch_merge_requires_agreement(self, project_from):
+        project = project_from({
             "sim/api.py": """\
                 def f(cond, size_bytes, latency_ms, dirty_pages):
                     if cond:
@@ -95,8 +100,8 @@ class TestTaintThroughAssignment:
 
 
 class TestTaintThroughReturn:
-    def test_return_unit_from_function_name(self, analyze_tree):
-        project = analyze_tree({
+    def test_return_unit_from_function_name(self, project_from):
+        project = project_from({
             "sim/api.py": """\
                 def total_bytes(latency_ms):
                     tmp = latency_ms
@@ -107,8 +112,8 @@ class TestTaintThroughReturn:
         assert codes(findings) == ["RPR104"]
         assert "returns" in findings[0].message
 
-    def test_known_converter_return_unit(self, analyze_tree):
-        project = analyze_tree({
+    def test_known_converter_return_unit(self, project_from):
+        project = project_from({
             "units.py": """\
                 def pages_for_bytes(n_bytes, page_size):
                     return -(-n_bytes // page_size)
@@ -124,8 +129,8 @@ class TestTaintThroughReturn:
 
 
 class TestTaintAcrossCalls:
-    def test_positional_arg_conflict(self, analyze_tree):
-        project = analyze_tree({
+    def test_positional_arg_conflict(self, project_from):
+        project = project_from({
             "sim/api.py": """\
                 def schedule(delay_ms):
                     return delay_ms
@@ -138,8 +143,8 @@ class TestTaintAcrossCalls:
         assert codes(findings) == ["RPR104"]
         assert "'delay_ms'" in findings[0].message
 
-    def test_keyword_arg_conflict_cross_module(self, analyze_tree):
-        project = analyze_tree({
+    def test_keyword_arg_conflict_cross_module(self, project_from):
+        project = project_from({
             "engine/core.py": """\
                 def submit(op, delay_ms=0):
                     return (op, delay_ms)
@@ -155,8 +160,8 @@ class TestTaintAcrossCalls:
         assert [f.code for f in findings] == ["RPR104"]
         assert findings[0].relpath == "sim/api.py"
 
-    def test_matching_units_are_silent(self, analyze_tree):
-        project = analyze_tree({
+    def test_matching_units_are_silent(self, project_from):
+        project = project_from({
             "sim/api.py": """\
                 def schedule(delay_ms):
                     return delay_ms
@@ -169,28 +174,37 @@ class TestTaintAcrossCalls:
 
 
 class TestLexicalFallback:
-    """kdd-lint RPR007 stays as the fast per-file fallback, minus the
-    rate-name false positive fixed in this change."""
+    """The lexical cases RPR007 used to flag, now caught by RPR104 inside
+    function bodies (``test_lint_rules.py`` covers module scope)."""
 
-    def run_rule(self, source, tmp_path):
-        path = tmp_path / "repro" / "sim" / "api.py"
-        path.parent.mkdir(parents=True)
-        path.write_text(source, encoding="utf-8")
-        return lint_paths([path], select={"RPR007"})
+    def run_rule(self, source, project_from):
+        return check_units(project_from({"sim/api.py": source}))
 
-    def test_rate_name_no_longer_flags(self, tmp_path):
+    @pytest.mark.parametrize("snippet", FORMER_RPR007_TRIGGERS)
+    def test_former_rpr007_trigger_is_rpr104(self, project_from, snippet):
+        findings = self.run_rule("def f(obj):\n    " + snippet, project_from)
+        assert [f.code for f in findings] == ["RPR104"]
+        assert "bytes" in findings[0].message
+        assert "pages" in findings[0].message
+
+    @pytest.mark.parametrize("snippet", FORMER_RPR007_CLEAN)
+    def test_former_rpr007_clean_is_clean(self, project_from, snippet):
+        source = "def f(page_size, limit):\n    " + snippet
+        assert self.run_rule(source, project_from) == []
+
+    def test_rate_name_no_longer_flags(self, project_from):
         findings = self.run_rule(
             "def f(n_ops, elapsed_ms):\n"
             "    ops_per_ms = n_ops / elapsed_ms\n"
             "    return ops_per_ms + n_ops\n",
-            tmp_path,
+            project_from,
         )
         assert findings == []
 
-    def test_real_mixing_still_flags(self, tmp_path):
+    def test_real_mixing_still_flags(self, project_from):
         findings = self.run_rule(
             "def f(size_bytes, dirty_pages):\n"
             "    return size_bytes + dirty_pages\n",
-            tmp_path,
+            project_from,
         )
-        assert codes(findings) == ["RPR007"]
+        assert codes(findings) == ["RPR104"]

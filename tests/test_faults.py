@@ -13,6 +13,7 @@ import pytest
 
 from repro.cache import CacheConfig
 from repro.disk.hdd import HDDParams
+from repro.engine.resources import DiskResource, SSDResource
 from repro.errors import ConfigError, DegradedError, FaultError, MediaError
 from repro.faults import (
     DeviceFaultStream,
@@ -33,7 +34,6 @@ from repro.harness.faultsweep import faults_cell
 from repro.harness.runner import build_policy
 from repro.harness.sweep import SweepEngine, trace_desc
 from repro.raid import RAIDArray, RaidLevel, rebuild_disk
-from repro.sim.devices import DiskServer, SSDServer
 from repro.traces import uniform_workload
 
 
@@ -140,8 +140,8 @@ class TestRetryPolicy:
 class TestDeviceFaults:
     def test_timeout_stall_without_retry(self):
         cfg = FaultConfig(seed=0, timeout_rate=1.0, timeout_s=0.01)
-        plain = DiskServer(HDDParams())
-        faulty = DiskServer(HDDParams(), faults=DeviceFaultStream("d", cfg),
+        plain = DiskResource(HDDParams())
+        faulty = DiskResource(HDDParams(), faults=DeviceFaultStream("d", cfg),
                             retry=retry_policy("none"))
         base = plain.serve(0, 1, True, 0.0)
         w = faulty.serve(0, 1, True, 0.0)
@@ -151,8 +151,8 @@ class TestDeviceFaults:
 
     def test_backoff_retries_add_latency(self):
         cfg = FaultConfig(seed=0, timeout_rate=1.0, timeout_s=0.01)
-        plain = DiskServer(HDDParams())
-        faulty = DiskServer(HDDParams(), faults=DeviceFaultStream("d", cfg),
+        plain = DiskResource(HDDParams())
+        faulty = DiskResource(HDDParams(), faults=DeviceFaultStream("d", cfg),
                             retry=retry_policy("backoff"))
         base = plain.serve(0, 1, True, 0.0)
         w = faulty.serve(0, 1, True, 0.0)
@@ -163,40 +163,40 @@ class TestDeviceFaults:
 
     def test_retry_can_clear_a_transient(self):
         cfg = FaultConfig(seed=3, timeout_rate=0.5, timeout_s=0.01)
-        server = DiskServer(HDDParams(), faults=DeviceFaultStream("d", cfg),
+        server = DiskResource(HDDParams(), faults=DeviceFaultStream("d", cfg),
                             retry=retry_policy("backoff"))
         windows = [server.serve(i, 1, True, 0.0) for i in range(40)]
         cleared = [w for w in windows if w.ok and w.retries > 0]
         assert cleared, "some timeout should clear within the retry budget"
 
     def test_no_faults_means_clean_windows(self):
-        server = DiskServer(HDDParams())
+        server = DiskResource(HDDParams())
         w = server.serve(0, 1, True, 0.0)
         assert w.ok and w.retries == 0 and w.fault_latency == 0.0
 
 
 class TestSsdChannelDeterminism:
     def test_equal_busy_ties_break_by_lowest_index(self):
-        ssd = SSDServer(channels=8)
+        ssd = SSDResource(channels=8)
         assert ssd._assign_channels(3) == [0, 1, 2]
 
     def test_assignment_round_robins_over_rank(self):
-        ssd = SSDServer(channels=4)
+        ssd = SSDResource(channels=4)
         assert ssd._assign_channels(6) == [0, 1, 2, 3, 0, 1]
 
     def test_uneven_busy_prefers_idle_then_index(self):
-        ssd = SSDServer(channels=4)
+        ssd = SSDResource(channels=4)
         ssd.channel_busy = [0.5, 0.1, 0.5, 0.1]
         assert ssd._assign_channels(4) == [1, 3, 0, 2]
 
     def test_serve_records_assignment(self):
-        ssd = SSDServer(channels=8)
+        ssd = SSDResource(channels=8)
         ssd.serve_read(3, 0.0)
         assert ssd.last_assignment == [0, 1, 2]
 
     def test_assignment_is_reproducible(self):
         def run():
-            ssd = SSDServer(channels=4)
+            ssd = SSDResource(channels=4)
             out = []
             for i in range(12):
                 ssd.serve_read(1 + i % 3, i * 0.001)
