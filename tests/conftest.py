@@ -44,3 +44,11 @@ def real_project():
     from repro.devtools.analyze import Project
 
     return Project.load([SRC_REPRO])
+
+
+@pytest.fixture(scope="session")
+def reversed_project():
+    """``src/repro`` parsed once per session in reverse discovery order."""
+    from repro.devtools.analyze import Project
+
+    return Project.load(sorted(SRC_REPRO.rglob("*.py"), reverse=True))

@@ -11,7 +11,6 @@ output must be invariant under file-discovery order.
 
 import json
 
-from repro.devtools.analyze import Project
 from repro.devtools.analyze.cli import analyze_project
 from repro.devtools.analyze.columnar import columnar_report
 from repro.devtools.analyze.effects import effects_report
@@ -32,7 +31,7 @@ def test_src_repro_has_no_dead_public_symbols(real_project):
     assert findings == [], f"dead-code findings:\n{rendered}"
 
 
-def test_output_is_byte_identical_across_runs(real_project):
+def test_output_is_byte_identical_across_runs(real_project, reversed_project):
     # The second run loads the files in reverse discovery order.
     def render(project):
         findings = analyze_project(project, dead_code=True)
@@ -46,8 +45,7 @@ def test_output_is_byte_identical_across_runs(real_project):
             "architecture_md": architecture_md(project),
         }
 
-    backward = Project.load(sorted(SRC_REPRO.rglob("*.py"), reverse=True))
-    assert render(real_project) == render(backward)
+    assert render(real_project) == render(reversed_project)
 
 
 def test_architecture_doc_is_current(real_project):

@@ -586,6 +586,13 @@ class TestRealTree:
     def test_src_repro_is_columnar_clean(self, real_project):
         assert check_columnar(real_project) == []
 
+    def test_findings_and_report_are_discovery_order_invariant(
+        self, real_project, reversed_project
+    ):
+        assert [f.render() for f in check_columnar(real_project)] == \
+            [f.render() for f in check_columnar(reversed_project)]
+        assert columnar_report(real_project) == columnar_report(reversed_project)
+
     def test_narrowing_the_production_mirror_fails_the_contract(
         self, project_from
     ):

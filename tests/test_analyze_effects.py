@@ -377,6 +377,13 @@ class TestRealTree:
     def test_src_repro_is_effects_clean(self, real_project):
         assert check_effects(real_project) == []
 
+    def test_findings_and_report_are_discovery_order_invariant(
+        self, real_project, reversed_project
+    ):
+        assert [f.render() for f in check_effects(real_project)] == \
+            [f.render() for f in check_effects(reversed_project)]
+        assert effects_report(real_project) == effects_report(reversed_project)
+
     def test_effect_model_matches_the_production_contract(self, real_project):
         analysis = EffectAnalysis(real_project)
         # Exactly one choke point, and it is the CacheSets API.
