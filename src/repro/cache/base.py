@@ -17,6 +17,9 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from ..contracts import columnar
 from ..errors import ConfigError
 from ..flash.device import SSD
 from ..flash.geometry import FlashGeometry
@@ -225,23 +228,42 @@ class CachePolicy(ABC):
     def finish(self) -> None:
         """Flush background state at end of run (parity repairs etc.)."""
 
+    @columnar(
+        dtypes={"pages": "int64|uint64", "is_read": "bool"},
+        shapes={"pages": "(n,)", "is_read": "(n,)"},
+    )
+    def access_many(self, pages: np.ndarray, is_read: np.ndarray) -> None:
+        """Run a batch of page accesses in order.
+
+        ``pages`` (int64 or uint64) and ``is_read`` (bool) are parallel
+        columns.  The batch takes the columnar fast path (batched
+        classification, counter-only RAID accounting) when the
+        configuration allows it, and the scalar per-access loop
+        (:func:`drive_stream`) otherwise, e.g. with a flash model, a
+        stateful admission filter, a degraded array, or out-of-range
+        addresses.  Both produce identical counters and eviction
+        behaviour, and consecutive calls compose: splitting a stream
+        into batches never changes the result.
+        """
+        if not self._process_columnar(pages, is_read):
+            drive_stream(self, pages.tolist(), is_read.tolist())
+
     def process_trace(self, trace: Trace, vectorized: bool = False) -> TrafficCounters:
         """Run a whole trace through the policy and return the counters.
 
-        With ``vectorized=True`` the policy may take a columnar fast path
-        (batched classification, counter-only RAID accounting) when its
-        configuration allows; the fast path produces identical counters
-        and eviction behaviour, and any ineligible configuration falls
-        back to the scalar per-access loop automatically.
+        With ``vectorized=True`` the trace is one :meth:`access_many`
+        batch; otherwise every access takes the scalar loop.
         """
-        if not (vectorized and self._process_columnar(trace)):
+        if vectorized:
+            self.access_many(*trace.page_accesses())
+        else:
             pages, is_read = trace.page_accesses()
             drive_stream(self, pages.tolist(), is_read.tolist())
         self.finish()
         return self.stats
 
-    def _process_columnar(self, trace: Trace) -> bool:
-        """Batched trace processing hook; return True if fully handled."""
+    def _process_columnar(self, pages: np.ndarray, is_read: np.ndarray) -> bool:
+        """Batched processing hook; return True if the batch was handled."""
         return False
 
     # -- verification ------------------------------------------------------
@@ -253,10 +275,9 @@ class CachePolicy(ABC):
 def drive_stream(policy: CachePolicy, lbas, is_read) -> None:
     """Feed a page-access stream through a policy's scalar state machine.
 
-    ``process_trace`` is a thin adapter over this driver, and the
-    multi-tenant serve driver (``repro.serve``) calls it per tenant
-    segment — both shapes share the exact per-access semantics.  The
-    inputs are parallel iterables of page LBAs and read flags.
+    The scalar fallback of :meth:`CachePolicy.access_many` and the
+    ``vectorized=False`` path of ``process_trace``.  The inputs are
+    parallel iterables of page LBAs and read flags.
     """
     access = policy.access
     for lba, read in zip(lbas, is_read):

@@ -2,7 +2,8 @@
 
 Besides the scalar fill/evict helpers this module hosts the **columnar
 fast path** shared by every set-associative policy: the driver behind
-``process_trace(vectorized=True)`` classifies whole address batches
+``access_many`` (and so ``process_trace(vectorized=True)`` and the
+partitioned serve path) classifies whole address batches
 against the directory mirror (:meth:`CacheSets.classify`), handles
 maximal runs of read hits in bulk, and dispatches the rest through slim
 per-access handlers that update counters directly instead of building
@@ -18,7 +19,6 @@ from __future__ import annotations
 from ..contracts import columnar
 from ..nvram.metabuffer import PageState
 from ..raid.array import FastAccounting, RAIDArray
-from ..traces.trace import Trace
 from .admission import AlwaysAdmit, make_admission
 from .base import CacheConfig, CachePolicy, Outcome
 from .sets import CacheLine, CacheSets
@@ -133,20 +133,26 @@ class SetAssocPolicy(CachePolicy):
         """
         return False
 
-    @columnar()
-    def _process_columnar(self, trace: Trace) -> bool:
+    @columnar(
+        dtypes={"pages": "int64|uint64", "is_read": "bool"},
+        shapes={"pages": "(n,)", "is_read": "(n,)"},
+    )
+    def _process_columnar(self, pages, is_read) -> bool:
         if self.ssd is not None or type(self.admission) is not AlwaysAdmit:
             return False
         fast = self.raid.fast_account()
         if fast is None or not self._fast_write_ok(fast):
             return False
-        pages, is_read = trace.page_accesses()
         if len(pages):
             top = int(pages.max())
             # Out-of-range addresses must raise the scalar path's exact
             # ConfigError at the offending access; oversized addresses
             # would overflow the int64 batch hash.  Both go scalar.
-            if top >= self.raid.capacity_pages or top > CacheSets.MAX_VECTOR_LBA:
+            if (
+                int(pages.min()) < 0
+                or top >= self.raid.capacity_pages
+                or top > CacheSets.MAX_VECTOR_LBA
+            ):
                 return False
         self._fast = fast
         try:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..raid.array import RAIDArray
-from ..traces.trace import Trace
 from .base import CacheConfig, CachePolicy, Outcome
 
 
@@ -23,16 +24,17 @@ class Nossd(CachePolicy):
         self.stats.write_misses += 1
         return Outcome(hit=False, is_read=False, fg_disk_ops=self.raid.write(lba))
 
-    def _process_columnar(self, trace: Trace) -> bool:
-        # No cache state at all: on a healthy array the whole trace
+    def _process_columnar(self, pages: np.ndarray, is_read: np.ndarray) -> bool:
+        # No cache state at all: on a healthy array the whole batch
         # reduces to four counter additions.
         if self.ssd is not None:
             return False
         fast = self.raid.fast_account()
         if fast is None:
             return False
-        pages, is_read = trace.page_accesses()
-        if len(pages) and int(pages.max()) >= self.raid.capacity_pages:
+        if len(pages) and (
+            int(pages.min()) < 0 or int(pages.max()) >= self.raid.capacity_pages
+        ):
             return False
         nreads = int(is_read.sum())
         nwrites = len(pages) - nreads

@@ -21,6 +21,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from ..contracts import columnar
 from ..errors import CacheError, ConfigError
 from ..nvram.metabuffer import PageState
 from .base import TrafficCounters
@@ -139,9 +142,10 @@ class ReallocationStats:
 class PartitionedCache:
     """N per-tenant cache directories over one shared array.
 
-    Routes each access to its tenant's policy instance; the policies
-    were built by the caller with per-tenant quota-sized configs (the
-    harness does this from ``plan.quotas``).  Per-tenant
+    Routes each batch of accesses, regrouped by tenant, to the tenant
+    policy instances; the policies were built by the caller with
+    per-tenant quota-sized configs (the harness does this from
+    ``plan.quotas``).  Per-tenant
     :class:`TrafficCounters` — and per-tenant flash models, when
     attached — come for free from the per-policy split.
     """
@@ -191,13 +195,66 @@ class PartitionedCache:
         """Current per-tenant quota in pages."""
         return tuple(self._quotas)
 
-    def access(self, tenant: int, lba: int, is_read: bool) -> None:
-        """Route one page access to its tenant's policy."""
-        self.policies[tenant].access(lba, is_read)
-        if self.plan.dynamic:
-            self._since_realloc += 1
-            if self._since_realloc >= self.plan.realloc_period:
+    @columnar(
+        dtypes={"tenant": "int32|int64", "lba": "int64|uint64", "is_read": "bool"},
+        shapes={"tenant": "(n,)", "lba": "(n,)", "is_read": "(n,)"},
+    )
+    def access_many(self, tenant, lba, is_read) -> None:
+        """Route a batch of page accesses to their tenants' policies.
+
+        ``tenant``, ``lba`` and ``is_read`` are parallel columns in
+        arrival order.  A dynamic plan splits the batch where the global
+        access count reaches a reallocation point, so passes fire
+        exactly where one-at-a-time routing would fire them; each
+        segment is then regrouped by tenant (stable, so every tenant
+        keeps its own arrival order) and handed to that tenant's
+        :meth:`~repro.cache.base.CachePolicy.access_many`.
+        """
+        if not len(tenant):
+            return
+        n_tenants = len(self.policies)
+        lo, hi = int(tenant.min()), int(tenant.max())
+        if lo < 0 or hi >= n_tenants:
+            raise ConfigError(
+                f"PartitionedCache: tenant index {lo if lo < 0 else hi} is "
+                f"outside [0, {n_tenants})"
+            )
+        if not self.plan.dynamic:
+            self._route(tenant, lba, is_read)
+            return
+        period = self.plan.realloc_period
+        start = 0
+        while start < len(tenant):
+            stop = min(len(tenant), start + period - self._since_realloc)
+            self._route(tenant[start:stop], lba[start:stop], is_read[start:stop])
+            self._since_realloc += stop - start
+            if self._since_realloc >= period:
                 self.reallocate()
+            start = stop
+
+    def access(self, tenant: int, lba: int, is_read: bool) -> None:
+        """Route one page access: :meth:`access_many` with a batch of one."""
+        self.access_many(
+            np.array([tenant], dtype=np.int64),
+            np.array([lba], dtype=np.int64),
+            np.array([is_read], dtype=bool),
+        )
+
+    @columnar(
+        dtypes={"tenant": "int32|int64", "lba": "int64|uint64", "is_read": "bool"},
+        shapes={"tenant": "(n,)", "lba": "(n,)", "is_read": "(n,)"},
+    )
+    def _route(self, tenant, lba, is_read) -> None:
+        """Hand one reallocation-free segment to the tenant policies."""
+        order = np.argsort(tenant, kind="stable")
+        lba = lba[order]
+        is_read = is_read[order]
+        ends = np.cumsum(np.bincount(tenant, minlength=len(self.policies)))
+        start = 0
+        for policy, stop in zip(self.policies, ends.tolist()):
+            if stop > start:
+                policy.access_many(lba[start:stop], is_read[start:stop])
+            start = stop
 
     def finish(self) -> None:
         for policy in self.policies:

@@ -1,8 +1,8 @@
 """Multi-stream request driver with bounded online metrics.
 
 :class:`ServeDriver` pulls epoch batches from a
-:class:`~repro.serve.composer.WorkloadComposer` and routes each request
-to its tenant's cache policy inside a
+:class:`~repro.serve.composer.WorkloadComposer` and routes each batch
+to the tenants' cache policies inside a
 :class:`~repro.cache.partition.PartitionedCache` (or runs metrics-only
 when no cache is attached — the composition/metrics scaling path).
 
@@ -221,10 +221,12 @@ class ServeDriver:
     ) -> ServeReport:
         """Drive the stream to completion and return the report.
 
-        Requests are routed strictly in composed arrival order (no
-        per-tenant batching): dynamic reallocation boundaries fall at
-        exact global access counts, keeping runs reproducible across
-        epoch and batch sizing.
+        Each composed batch goes to the cache in one
+        :meth:`~repro.cache.partition.PartitionedCache.access_many` call,
+        which regroups it by tenant onto the columnar cache path.  Every
+        tenant still sees its own requests in arrival order, and dynamic
+        reallocation still fires at exact global access counts, so the
+        rows do not depend on epoch or batch sizing.
         """
         cache = self.cache
         metrics = self.metrics
@@ -234,12 +236,7 @@ class ServeDriver:
             metrics.observe_batch(batch)
             metrics.assert_bounded()
             if cache is not None:
-                access = cache.access
-                tenants = batch.tenant.tolist()
-                lbas = batch.lba.tolist()
-                reads = batch.is_read.tolist()
-                for i in range(len(lbas)):
-                    access(tenants[i], lbas[i], reads[i])
+                cache.access_many(batch.tenant, batch.lba, batch.is_read)
         if cache is not None:
             cache.finish()
         metrics.assert_bounded()

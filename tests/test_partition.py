@@ -4,9 +4,14 @@ Partition quotas split one cache across tenant directories; dynamic
 mode moves quota through the public ``alloc`` surface only, so the
 mirror-coherence contracts and cache invariants must hold across every
 resize, and the endurance cost of migration shows up in ``ssd_writes``.
+Batched routing (``access_many``) must equal a one-request-at-a-time
+reference loop row for row.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import CacheConfig, PartitionPlan, PartitionedCache
 from repro.errors import ConfigError
@@ -20,15 +25,27 @@ def make_raid(pages_per_disk=512):
 
 
 def make_partition(n_tenants=2, cache_pages=128, policy="wt",
-                   dynamic=False, **plan_kwargs):
+                   dynamic=False, tenant_config=None, **plan_kwargs):
+    """``tenant_config`` maps a tenant index to extra CacheConfig fields."""
     plan = PartitionPlan.equal(n_tenants, dynamic=dynamic, **plan_kwargs)
     raid = make_raid()
+    tenant_config = tenant_config or {}
     policies = [
-        build_policy(policy, CacheConfig(cache_pages=quota, ways=16, seed=0),
+        build_policy(policy,
+                     CacheConfig(cache_pages=quota, ways=16, seed=0,
+                                 **tenant_config.get(i, {})),
                      raid)
-        for quota in plan.quotas(cache_pages)
+        for i, quota in enumerate(plan.quotas(cache_pages))
     ]
     return PartitionedCache(policies, plan, total_pages=cache_pages)
+
+
+def route(cache, requests):
+    """Feed ``(tenant, lba, is_read)`` tuples as one batch."""
+    tenant, lba, is_read = zip(*requests) if requests else ((), (), ())
+    cache.access_many(np.array(tenant, dtype=np.int32),
+                      np.array(lba, dtype=np.uint64),
+                      np.array(is_read, dtype=bool))
 
 
 class TestPartitionPlanValidation:
@@ -110,16 +127,14 @@ class TestPartitionedCacheConstruction:
 class TestRoutingAndStats:
     def test_routing_isolates_tenants(self):
         cache = make_partition(n_tenants=2, cache_pages=128)
-        for lba in range(16):
-            cache.access(0, lba, True)
+        route(cache, [(0, lba, True) for lba in range(16)])
         assert cache.policies[0].stats.accesses == 16
         assert cache.policies[1].stats.accesses == 0
 
     def test_combined_stats_sum_tenants(self):
         cache = make_partition(n_tenants=2, cache_pages=128)
-        for lba in range(8):
-            cache.access(0, lba, True)
-            cache.access(1, 100 + lba, False)
+        route(cache, [req for lba in range(8)
+                      for req in ((0, lba, True), (1, 100 + lba, False))])
         cache.finish()
         combined = cache.combined_stats()
         per = [p.stats for p in cache.policies]
@@ -127,15 +142,34 @@ class TestRoutingAndStats:
         assert combined.ssd_writes == sum(s.ssd_writes for s in per)
         cache.check_invariants()
 
+    def test_negative_tenant_index_rejected(self):
+        cache = make_partition(n_tenants=2, cache_pages=128)
+        with pytest.raises(ConfigError, match="tenant index -1 "):
+            route(cache, [(0, 1, True), (-1, 2, True)])
+        assert cache.policies[1].stats.accesses == 0
+
+    def test_tenant_index_past_the_last_rejected(self):
+        cache = make_partition(n_tenants=2, cache_pages=128)
+        with pytest.raises(ConfigError, match="tenant index 2 "):
+            route(cache, [(0, 1, True), (2, 2, True)])
+        assert cache.policies[0].stats.accesses == 0
+
+    def test_single_access_routes_like_a_batch_of_one(self):
+        cache = make_partition(n_tenants=2, cache_pages=128)
+        cache.access(1, 100, False)
+        assert cache.policies[1].stats.write_misses == 1
+        with pytest.raises(ConfigError, match="tenant index -1 "):
+            cache.access(-1, 100, False)
+
 
 class TestDynamicReallocation:
     def _churn(self, cache, rounds=6):
         """Tenant 0 hot, reusing 8 pages spread across set groups;
         tenant 1 cold-scans fresh pages every round."""
         for r in range(rounds):
-            for i in range(48):
-                cache.access(0, (i % 8) * 64, True)
-                cache.access(1, 1024 + r * 48 + i, True)
+            route(cache, [req for i in range(48)
+                          for req in ((0, (i % 8) * 64, True),
+                                      (1, 1024 + r * 48 + i, True))])
 
     def test_quota_moves_toward_hit_density(self):
         cache = make_partition(n_tenants=2, cache_pages=128, dynamic=True,
@@ -175,3 +209,110 @@ class TestDynamicReallocation:
         assert cache.realloc.passes == 0
         assert cache.quotas == tuple(
             PartitionPlan.equal(2).quotas(128))
+
+
+#: Stripe-aligned tenant regions (the test array stripes 64 data pages).
+REGION_PAGES = 256
+
+
+def reference_loop(cache, batches):
+    """One request at a time, reallocating every ``realloc_period``."""
+    routed = 0
+    for batch in batches:
+        for tenant, offset, is_read in batch:
+            cache.policies[tenant].access(tenant * REGION_PAGES + offset,
+                                          is_read)
+            routed += 1
+            if cache.plan.dynamic and routed % cache.plan.realloc_period == 0:
+                cache.reallocate()
+    cache.finish()
+
+
+def batched(cache, batches):
+    for batch in batches:
+        route(cache, [(t, t * REGION_PAGES + offset, r)
+                      for t, offset, r in batch])
+    cache.finish()
+
+
+def observable(cache):
+    raid = cache.policies[0].raid
+    return (
+        [p.stats for p in cache.policies],
+        raid.counters,
+        sorted(raid.stale_stripes),
+        cache.realloc.row(),
+        cache.quotas,
+        cache.realloc.final_quotas,
+    )
+
+
+def batches_for(n_tenants):
+    request = st.tuples(st.integers(0, n_tenants - 1),
+                        st.integers(0, 47), st.booleans())
+    return st.lists(st.lists(request, max_size=60), max_size=6)
+
+
+#: Tenant 0 runs a flash model, tenant 1 a LARC admission filter: both
+#: take the scalar fallback inside each segment.
+MIXED = {0: {"flash_model": True}, 1: {"admission": "larc"}}
+
+
+class TestBatchedRoutingEquivalence:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           policy=st.sampled_from(("wt", "wa", "leavo", "kdd")),
+           n_tenants=st.integers(3, 4),
+           mixed=st.booleans())
+    def test_static_plan_matches_reference_loop(self, data, policy,
+                                                n_tenants, mixed):
+        batches = data.draw(batches_for(n_tenants))
+        kwargs = dict(n_tenants=n_tenants, cache_pages=96, policy=policy,
+                      tenant_config=MIXED if mixed else None)
+        reference = make_partition(**kwargs)
+        reference_loop(reference, batches)
+        cache = make_partition(**kwargs)
+        batched(cache, batches)
+        assert observable(cache) == observable(reference)
+        cache.check_invariants()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(),
+           policy=st.sampled_from(("wt", "wa")),
+           n_tenants=st.integers(3, 4),
+           realloc_period=st.sampled_from((7, 11, 13, 29)),
+           mixed=st.booleans())
+    def test_dynamic_plan_matches_reference_loop(self, data, policy,
+                                                 n_tenants, realloc_period,
+                                                 mixed):
+        batches = data.draw(batches_for(n_tenants))
+        kwargs = dict(n_tenants=n_tenants, cache_pages=96, policy=policy,
+                      dynamic=True, realloc_period=realloc_period,
+                      min_fraction=0.1,
+                      tenant_config=MIXED if mixed else None)
+        reference = make_partition(**kwargs)
+        reference_loop(reference, batches)
+        cache = make_partition(**kwargs)
+        batched(cache, batches)
+        assert observable(cache) == observable(reference)
+        cache.check_invariants()
+
+    def test_batches_straddling_realloc_boundaries(self):
+        """Batch lengths 50 and 23 against a period of 7: every batch
+        crosses at least one reallocation point mid-batch."""
+        rng = np.random.default_rng(3)
+        batches = [
+            [(int(rng.integers(0, 3)) if i % 3 else 0,
+              int(rng.integers(0, 96)) if i % 3 else i % 8, bool(i % 2))
+             for i in range(size)]
+            for size in (50, 23, 50, 23)
+        ]
+        kwargs = dict(n_tenants=3, cache_pages=192, dynamic=True,
+                      realloc_period=7, min_fraction=0.1)
+        reference = make_partition(**kwargs)
+        reference_loop(reference, batches)
+        cache = make_partition(**kwargs)
+        batched(cache, batches)
+        assert cache.realloc.passes == 146 // 7
+        assert cache.realloc.resizes > 0
+        assert observable(cache) == observable(reference)

@@ -5,19 +5,24 @@ RAID accounting, policy extras and *eviction sequence* of the scalar
 per-access loop, for every policy and any trace.  Hypothesis drives
 random synthetic traces through both paths and compares everything
 observable; a deterministic test also pins that the columnar hook
-actually engages (a silent fallback to the scalar loop would make the
-equivalence vacuous).
+actually engages, for ``process_trace`` and for the serve driver (a
+silent fallback to the scalar loop would make the equivalence, and the
+serve driver's speed-up, vacuous).
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache.base import CacheConfig
 from repro.cache.common import SetAssocPolicy
+from repro.cache.partition import PartitionedCache, PartitionPlan
 from repro.core.kdd import KDD
 from repro.harness.runner import POLICIES, make_raid_for_trace
+from repro.harness.servesweep import _make_raid
+from repro.serve import ServeDriver, WorkloadComposer, make_tenant_fleet
 from repro.traces import Trace, empty_records
 
 POLICY_NAMES = ("nossd", "wt", "wa", "wb", "leavo", "kdd")
@@ -108,17 +113,23 @@ def test_vectorized_matches_scalar_under_cleaning_pressure(
     assert scalar == vector
 
 
-def test_columnar_path_engages(monkeypatch):
-    """Guard against a silent fallback making the equivalence vacuous."""
+def spy_columnar(monkeypatch):
+    """Record ``(policy class, handled)`` for every columnar attempt."""
     engaged = []
     orig = SetAssocPolicy._process_columnar
 
-    def spy(self, trace):
-        handled = orig(self, trace)
+    def spy(self, pages, is_read):
+        handled = orig(self, pages, is_read)
         engaged.append((type(self).__name__, handled))
         return handled
 
     monkeypatch.setattr(SetAssocPolicy, "_process_columnar", spy)
+    return engaged
+
+
+def test_columnar_path_engages(monkeypatch):
+    """Guard against a silent fallback making the equivalence vacuous."""
+    engaged = spy_columnar(monkeypatch)
     rng = np.random.default_rng(0)
     rows = [
         (int(rng.integers(0, 200)), 1, bool(rng.integers(0, 2)))
@@ -129,3 +140,24 @@ def test_columnar_path_engages(monkeypatch):
         run_policy(name, trace, 64, vectorized=True)
     assert all(handled for _, handled in engaged), engaged
     assert len(engaged) == 5
+
+
+@pytest.mark.parametrize("dynamic", [False, True])
+def test_serve_driver_engages_columnar_path(monkeypatch, dynamic):
+    """A WT serve run hands every tenant segment to the columnar path."""
+    engaged = spy_columnar(monkeypatch)
+    fleet = make_tenant_fleet(4, universe_pages=256, base_iops=20.0)
+    composer = WorkloadComposer(fleet, seed=1)
+    plan = PartitionPlan.equal(4, dynamic=dynamic, realloc_period=500)
+    raid = _make_raid(composer.total_pages)
+    policies = [
+        POLICIES["wt"](CacheConfig(cache_pages=quota, ways=16), raid)
+        for quota in plan.quotas(256)
+    ]
+    cache = PartitionedCache(policies, plan, total_pages=256)
+    report = ServeDriver(composer, cache).run(max_requests=3000)
+    assert report.row()["requests"] == 3000
+    assert engaged and all(handled for _, handled in engaged), engaged
+    assert sum(p.stats.accesses for p in policies) == 3000
+    # every tenant segment of every batch went columnar
+    assert len(engaged) >= 4
