@@ -5,20 +5,23 @@ fast path** shared by every set-associative policy: the driver behind
 ``access_many`` (and so ``process_trace(vectorized=True)`` and the
 partitioned serve path) classifies whole address batches
 against the directory mirror (:meth:`CacheSets.classify`), handles
-maximal runs of read hits in bulk, and dispatches the rest through slim
-per-access handlers that update counters directly instead of building
-:class:`Outcome`/:class:`DiskOp` objects.  The fast path is opt-in per
-policy (``_fast_write_ok``) and only engages when the configuration
-keeps every access on the fixed-cost path — no flash model, the
-stateless default admission filter, and a healthy RAID array — so its
-counters and eviction behaviour are identical to the scalar loop.
+maximal runs of read hits in bulk, and sends the rest through the
+policy's one read handler and one write handler — the same ones
+``read()``/``write()`` use — with foreground RAID I/O counted as
+:class:`FastAccounting` deltas instead of :class:`DiskOp` lists.  It
+engages when the configuration keeps every access on the fixed-cost
+path — no flash model, the stateless default admission filter, and a
+healthy RAID array — so its counters and eviction behaviour are
+identical to the scalar loop.
 """
 
 from __future__ import annotations
 
+from abc import abstractmethod
+
 from ..contracts import columnar
 from ..nvram.metabuffer import PageState
-from ..raid.array import FastAccounting, RAIDArray
+from ..raid.array import DiskOp, FastAccounting, RAIDArray
 from .admission import AlwaysAdmit, make_admission
 from .base import CacheConfig, CachePolicy, Outcome
 from .sets import CacheLine, CacheSets
@@ -41,12 +44,19 @@ class SetAssocPolicy(CachePolicy):
             config.cache_pages, ways=config.ways, group_pages=config.group_pages
         )
         self.admission = make_admission(config.admission, config.cache_pages)
+        #: False for the stateless default filter: its hooks are no-ops,
+        #: so the handlers skip the calls.
+        self._filtered = type(self.admission) is not AlwaysAdmit
 
     # -- allocation --------------------------------------------------------
 
     def _data_lpn(self, line: CacheLine) -> int:
-        """SSD page backing a DAZ line (data partition starts after metadata)."""
-        return self.meta_pages + self.sets.lpn_of(line.set_idx, line.slot)
+        """SSD page backing a DAZ line (data partition starts after metadata).
+
+        Inlines :meth:`CacheSets.lpn_of`: every fill, eviction and data
+        write-hit pays for this call.
+        """
+        return self.meta_pages + line.set_idx * self.sets.ways + line.slot
 
     def _evict_one_clean(self, set_idx: int) -> bool:
         victim = self.sets.evict_candidate(set_idx, (PageState.CLEAN,))
@@ -66,7 +76,7 @@ class SetAssocPolicy(CachePolicy):
 
     def _admit_and_alloc(self, lba: int, state: PageState) -> CacheLine | None:
         """Allocation gated by the admission filter (used on misses)."""
-        if not self.admission.should_admit(lba):
+        if self._filtered and not self.admission.should_admit(lba):
             return None
         return self._alloc_line(lba, state)
 
@@ -87,36 +97,80 @@ class SetAssocPolicy(CachePolicy):
         """Hook: account the SSD write that fills the new line."""
         self._ssd_write(self._data_lpn(line), kind)
 
-    # -- the common read path ----------------------------------------------
+    # -- the access handlers ------------------------------------------------
+    #
+    # Every policy has exactly one read handler and one write handler;
+    # they fill a caller-supplied Outcome.  read()/write() (the scalar
+    # and timed-engine entry) pass a fresh one; the columnar driver
+    # passes one sink per chunk and ignores it.  The only difference
+    # between the modes is where RAID I/O is counted — DiskOps, or
+    # FastAccounting deltas while the columnar driver runs (_fast set) —
+    # decided by the read miss below and by _raid_write for every write.
 
     def read(self, lba: int) -> Outcome:
+        out = Outcome(hit=False, is_read=True)
+        self._read(lba, out)
+        return out
+
+    def write(self, lba: int) -> Outcome:
+        out = Outcome(hit=False, is_read=False)
+        self._write(lba, out)
+        return out
+
+    def _read(self, lba: int, out: Outcome) -> None:
+        """The read handler: a hit is served by :meth:`_read_hit`."""
         line = self.sets.lookup(lba)
         if line is not None:
             self.stats.read_hits += 1
             self.sets.touch(lba)
-            self.admission.on_cache_hit(lba)
-            return self._read_hit(line)
+            if self._filtered:
+                self.admission.on_cache_hit(lba)
+            out.hit = True
+            self._read_hit(line, out)
+            return
         self.stats.read_misses += 1
-        disk_ops = self.raid.read(lba)
-        out = Outcome(hit=False, is_read=True, fg_disk_ops=disk_ops)
+        if self._fast is None:
+            out.fg_disk_ops = self.raid.read(lba)
+        else:
+            self._fast.read(1)
         line = self._admit_and_alloc(lba, PageState.CLEAN)
         if line is not None:
             self._on_line_allocated(line, "fill")
-            out.bg_ssd_writes += 1
-        return out
+            out.bg_ssd_writes = 1
 
-    def _read_hit(self, line: CacheLine) -> Outcome:
+    def _read_hit(self, line: CacheLine, out: Outcome) -> None:
         """Serve a read hit (policies with delta state override this)."""
-        self._ssd_read(1)
-        return Outcome(hit=True, is_read=True, fg_ssd_reads=1)
+        self.stats.ssd_reads += 1
+        out.fg_ssd_reads = 1
 
-    # -- the columnar fast path ---------------------------------------------
+    @abstractmethod
+    def _write(self, lba: int, out: Outcome) -> None:
+        """The write handler."""
+
+    def _raid_write(self, lba: int, delayed: bool = False) -> list[DiskOp]:
+        """RAID write of ``lba``: DiskOps, or counter deltas when columnar.
+
+        ``delayed`` skips the parity update (LeavO/KDD write hits); both
+        modes raise the same :class:`RaidError` without a parity level.
+        """
+        fast = self._fast
+        if fast is None:
+            if delayed:
+                return self.raid.write_without_parity_update(lba)
+            return self.raid.write(lba)
+        if delayed:
+            fast.write_delayed(lba)
+        else:
+            fast.write(1)
+        return []
+
+    # -- the columnar driver -------------------------------------------------
     #
     # Accesses are processed in address batches; classification against
     # the directory mirror finds runs of read hits that can be retired
-    # in bulk, everything else goes through per-access handlers that
-    # skip Outcome construction and per-page RAID geometry (the healthy
-    # array's member-I/O pattern is fixed, see FastAccounting).
+    # in bulk, everything else goes through the same handlers as the
+    # scalar path with RAID I/O counted by FastAccounting (the healthy
+    # array's member-I/O pattern is fixed).
 
     _COLUMNAR_CHUNK = 4096
     #: Shortest read-hit run worth the bulk call.
@@ -124,24 +178,15 @@ class SetAssocPolicy(CachePolicy):
     #: FastAccounting helper, only set while the columnar driver runs.
     _fast: FastAccounting | None = None
 
-    def _fast_write_ok(self, fast: FastAccounting) -> bool:
-        """Whether this policy's write path is safe to run columnar.
-
-        Policies opt in once their write logic is covered by the slim
-        ``_write_fast`` handler; the base class stays scalar-only so an
-        unaudited subclass can never take the fast path by accident.
-        """
-        return False
-
     @columnar(
         dtypes={"pages": "int64|uint64", "is_read": "bool"},
         shapes={"pages": "(n,)", "is_read": "(n,)"},
     )
     def _process_columnar(self, pages, is_read) -> bool:
-        if self.ssd is not None or type(self.admission) is not AlwaysAdmit:
+        if self.ssd is not None or self._filtered:
             return False
         fast = self.raid.fast_account()
-        if fast is None or not self._fast_write_ok(fast):
+        if fast is None:
             return False
         if len(pages):
             top = int(pages.max())
@@ -175,15 +220,15 @@ class SetAssocPolicy(CachePolicy):
         hit_run = (sets.classify(chunk) & reads).tolist()
         lbas = chunk.tolist()
         read_flags = reads.tolist()
-        stats = self.stats
+        read, write = self._read, self._write
+        sink = Outcome(hit=False, is_read=False)
         n = len(lbas)
         i = 0
-        while i < n:
-            # The classification is a snapshot: runs are trusted only
-            # while no alloc/remove happened since it was taken (read
-            # hits themselves never mutate membership, so a run stays
-            # valid for its whole length).
-            if hit_run[i] and sets.mutations == mut0:
+        # The classification is a snapshot: runs are trusted only while
+        # no alloc/remove happened since it was taken (read hits never
+        # mutate membership, so a run stays valid for its whole length).
+        while i < n and sets.mutations == mut0:
+            if hit_run[i]:
                 j = i + 1
                 while j < n and hit_run[j]:
                     j += 1
@@ -191,26 +236,18 @@ class SetAssocPolicy(CachePolicy):
                     self._bulk_read_hits(lbas[i:j])
                     i = j
                     continue
-            lba = lbas[i]
             if read_flags[i]:
-                line = sets.lookup(lba)
-                if line is not None:
-                    stats.read_hits += 1
-                    sets.touch(lba)
-                    self._read_hit_fast(line)
-                else:
-                    stats.read_misses += 1
-                    self._fast.read(1)
-                    line = self._alloc_line(lba, PageState.CLEAN)
-                    if line is not None:
-                        self._on_line_allocated(line, "fill")
+                read(lbas[i], sink)
             else:
-                self._write_fast(lba)
+                write(lbas[i], sink)
             i += 1
-
-    def _read_hit_fast(self, line: CacheLine) -> None:
-        """Counter-only mirror of :meth:`_read_hit`."""
-        self.stats.ssd_reads += 1
+        # The epoch only grows, so the snapshot is stale for the rest of
+        # the chunk: plain in-order dispatch.
+        for lba, is_read in zip(lbas[i:], read_flags[i:]):
+            if is_read:
+                read(lba, sink)
+            else:
+                write(lba, sink)
 
     @columnar(dtypes={"lbas": "list[int]"})
     def _bulk_read_hits(self, lbas: list[int]) -> None:
@@ -219,21 +256,12 @@ class SetAssocPolicy(CachePolicy):
         Membership-write-free like every batch reader it drives
         (``classify``/``touch_many``) — proven interprocedurally by
         RPR203, which is what entitles the runs to outlive their
-        classification snapshot.
+        classification snapshot.  Its write-set must stay inside the
+        scalar ``read`` write-set (RPR204).
         """
         self.stats.read_hits += len(lbas)
         self.stats.ssd_reads += len(lbas)
         self.sets.touch_many(lbas)
-
-    @columnar(dtypes={"lba": "int"})
-    def _write_fast(self, lba: int) -> None:  # pragma: no cover - gated off
-        # Contract (RPR204): an override's interprocedural write-set must
-        # stay inside the scalar write() write-set plus the FastAccounting
-        # delta surface (_fast) — checked statically by kdd-repro analyze,
-        # sampled dynamically by tests/test_vectorized_equivalence.py.
-        raise NotImplementedError(
-            "_fast_write_ok() must stay False without a _write_fast handler"
-        )
 
     def check_invariants(self) -> None:
         self.sets.check_invariants()

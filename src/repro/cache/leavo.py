@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from ..nvram.metabuffer import PageState
-from ..raid.array import FastAccounting, RAIDArray
+from ..raid.array import RAIDArray
 from .base import CacheConfig, Outcome
 from .common import SetAssocPolicy
 from .sets import CacheLine
@@ -57,20 +57,19 @@ class LeavO(SetAssocPolicy):
         super()._drop_line(line)
         self._meta_update()
 
-    def _read_hit(self, line: CacheLine) -> Outcome:
-        # the latest version lives in the twin slot for OLD lines
-        self._ssd_read(1)
-        return Outcome(hit=True, is_read=True, fg_ssd_reads=1)
-
     # -- writes ---------------------------------------------------------------
 
-    def write(self, lba: int) -> Outcome:
+    def _write(self, lba: int, out: Outcome) -> None:
         line = self.sets.lookup(lba)
         if line is None:
-            return self._write_miss(lba)
+            self._write_miss(lba, out)
+            return
         self.stats.write_hits += 1
         self.sets.touch(lba)
-        self.admission.on_cache_hit(lba)
+        if self._filtered:
+            self.admission.on_cache_hit(lba)
+        out.hit = True
+        out.bg_ssd_writes = 1
         if line.state is PageState.OLD:
             # overwrite the latest-version copy in place
             twin = line.aux
@@ -78,79 +77,32 @@ class LeavO(SetAssocPolicy):
                 self.meta_pages + self.sets.lpn_of(line.set_idx, twin), "data"
             )
             self._meta_update()
-            ops = self.raid.write_without_parity_update(lba)
-            out = Outcome(hit=True, is_read=False, fg_disk_ops=ops, bg_ssd_writes=1)
+            out.fg_disk_ops = self._raid_write(lba, delayed=True)
             self._maybe_clean(out)
-            return out
+            return
         # clean hit: try to retain the old version and delay parity
         twin = self._acquire_twin_slot(line)
         if twin is None:
             # no space for a second copy: fall back to plain write-through
             self.stats.bypasses += 1
             self._ssd_write(self._data_lpn(line), "data")
-            return Outcome(
-                hit=True,
-                is_read=False,
-                fg_disk_ops=self.raid.write(lba),
-                bg_ssd_writes=1,
-            )
+            out.fg_disk_ops = self._raid_write(lba)
+            return
         self.sets.set_state(lba, PageState.OLD)
         line.aux = twin
         self._ssd_write(self.meta_pages + self.sets.lpn_of(line.set_idx, twin), "data")
         self._meta_update()
-        ops = self.raid.write_without_parity_update(lba)
+        out.fg_disk_ops = self._raid_write(lba, delayed=True)
         self._stale_order.setdefault(self.raid.layout.stripe_of(lba), None)
-        out = Outcome(hit=True, is_read=False, fg_disk_ops=ops, bg_ssd_writes=1)
         self._maybe_clean(out)
-        return out
 
-    def _write_miss(self, lba: int) -> Outcome:
+    def _write_miss(self, lba: int, out: Outcome) -> None:
         self.stats.write_misses += 1
-        disk_ops = self.raid.write(lba)
-        out = Outcome(hit=False, is_read=False, fg_disk_ops=disk_ops)
+        out.fg_disk_ops = self._raid_write(lba)
         line = self._admit_and_alloc(lba, PageState.CLEAN)
         if line is not None:
             self._on_line_allocated(line, "data")
-            out.bg_ssd_writes += 1
-        return out
-
-    def _fast_write_ok(self, fast: FastAccounting) -> bool:
-        # write hits delay the parity update, which needs a parity level
-        return fast.delayed_ok
-
-    def _write_fast(self, lba: int) -> None:
-        # Write-set ⊆ scalar write() ∪ {_fast}: enforced by RPR204
-        # (cleaning's adopt_borrowed slot moves ride along via sets).
-        line = self.sets.lookup(lba)
-        if line is None:
-            self.stats.write_misses += 1
-            self._fast.write(1)
-            line = self._alloc_line(lba, PageState.CLEAN)
-            if line is not None:
-                self._on_line_allocated(line, "data")
-            return
-        self.stats.write_hits += 1
-        self.sets.touch(lba)
-        if line.state is PageState.OLD:
-            self.stats.data_writes += 1
-            self._meta_update()
-            self._fast.write_delayed(self.raid.layout.stripe_of(lba))
-            self._maybe_clean()
-            return
-        twin = self._acquire_twin_slot(line)
-        if twin is None:
-            self.stats.bypasses += 1
-            self.stats.data_writes += 1
-            self._fast.write(1)
-            return
-        self.sets.set_state(lba, PageState.OLD)
-        line.aux = twin
-        self.stats.data_writes += 1
-        self._meta_update()
-        stripe = self.raid.layout.stripe_of(lba)
-        self._fast.write_delayed(stripe)
-        self._stale_order.setdefault(stripe, None)
-        self._maybe_clean()
+            out.bg_ssd_writes = 1
 
     def _acquire_twin_slot(self, line: CacheLine) -> int | None:
         slot = self.sets.borrow_slot(line.set_idx)
@@ -170,12 +122,10 @@ class LeavO(SetAssocPolicy):
         # each OLD line pins two slots (old + latest)
         return 2 * self.sets.count(PageState.OLD)
 
-    def _maybe_clean(self, out: Outcome | None = None) -> None:
+    def _maybe_clean(self, out: Outcome) -> None:
         limit = self.config.dirty_threshold * self.config.cache_pages
         if self._pinned_pages <= limit:
             return
-        if out is None:  # columnar fast path: background ops are discarded
-            out = Outcome(hit=False, is_read=False)
         target = self.config.low_watermark * self.config.cache_pages
         while self._stale_order and self._pinned_pages > target:
             stripe = next(iter(self._stale_order))

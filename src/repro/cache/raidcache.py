@@ -70,20 +70,20 @@ class MirroredWriteBack(SetAssocPolicy):
 
     # -- policy ----------------------------------------------------------------
 
-    def read(self, lba: int) -> Outcome:
-        out = super().read(lba)
+    def _read(self, lba: int, out: Outcome) -> None:
+        super()._read(lba, out)
         # a read-miss fill can push total flash use past the two devices
         # when mirrors already occupy the slack: rebalance immediately
         if self._over_budget():
             self._evict_to_budget(out)
-        return out
 
-    def write(self, lba: int) -> Outcome:
+    def _write(self, lba: int, out: Outcome) -> None:
         line = self.sets.lookup(lba)
         if line is not None:
             self.stats.write_hits += 1
             self.sets.touch(lba)
-            self.admission.on_cache_hit(lba)
+            if self._filtered:
+                self.admission.on_cache_hit(lba)
             if line.state is not PageState.DIRTY:
                 self.sets.set_state(lba, PageState.DIRTY)
                 self._mirror(line)
@@ -91,20 +91,19 @@ class MirroredWriteBack(SetAssocPolicy):
                 self.mirror_writes += 1
                 self.stats.data_writes += 1  # rewrite the mirror too
             self._ssd_write(self._data_lpn(line), "data")
-            out = Outcome(hit=True, is_read=False, bg_ssd_writes=2)
+            out.hit = True
+            out.bg_ssd_writes = 2
             self._evict_to_budget(out)
-            return out
+            return
         self.stats.write_misses += 1
         line = self._admit_and_alloc(lba, PageState.DIRTY)
         if line is None:
-            return Outcome(
-                hit=False, is_read=False, fg_disk_ops=self.raid.write(lba)
-            )
+            out.fg_disk_ops = self._raid_write(lba)
+            return
         self._on_line_allocated(line, "data")
         self._mirror(line)
-        out = Outcome(hit=False, is_read=False, bg_ssd_writes=2)
+        out.bg_ssd_writes = 2
         self._evict_to_budget(out)
-        return out
 
     def _make_room(self, set_idx: int) -> bool:
         if self._evict_one_clean(set_idx):
@@ -117,7 +116,7 @@ class MirroredWriteBack(SetAssocPolicy):
 
     def _flush_and_drop(self, line: CacheLine) -> list:
         self._ssd_read(1)
-        ops = self.raid.write(line.lba)
+        ops = self._raid_write(line.lba)
         if line.state is PageState.DIRTY:
             self._unmirror()
         self._drop_line(line)

@@ -56,15 +56,13 @@ class OrderedWriteBack(WriteBack):
         """Acknowledged writes the RAID has not seen yet (the RPO)."""
         return len(self._order)
 
-    def write(self, lba: int) -> Outcome:
-        out = super().write(lba)
+    def _write(self, lba: int, out: Outcome) -> None:
+        super()._write(lba, out)
         line = self.sets.lookup(lba)
         if line is not None and line.state is PageState.DIRTY:
             self._order.pop(lba, None)  # re-dirty moves to the tail
             self._order[lba] = None
-        bg = self._enforce_bound()
-        out.bg_disk_ops.extend(bg)
-        return out
+        out.bg_disk_ops.extend(self._enforce_bound())
 
     def _enforce_bound(self) -> list:
         ops = []
@@ -120,12 +118,11 @@ class JournaledWriteBack(WriteBack):
         self._epoch: list[int] = []
         self.epochs_committed = 0
 
-    def write(self, lba: int) -> Outcome:
-        out = super().write(lba)
+    def _write(self, lba: int, out: Outcome) -> None:
+        super()._write(lba, out)
         self._epoch.append(lba)
         if len(self._epoch) >= self.epoch_writes:
             out.bg_disk_ops.extend(self.commit_epoch())
-        return out
 
     def commit_epoch(self) -> list:
         """Flush the epoch's dirty pages as one atomic group."""

@@ -68,11 +68,11 @@ class WecWriteThrough(WriteThrough):
 
     # -- policy hooks --------------------------------------------------------
 
-    def write(self, lba: int) -> Outcome:
-        out = super().write(lba)
-        if out.hit:
+    def _write(self, lba: int, out: Outcome) -> None:
+        hit = lba in self.sets
+        super()._write(lba, out)
+        if hit:
             self._bump(lba)
-        return out
 
     def _drop_line(self, line: CacheLine) -> None:
         self._scores.pop(line.lba, None)

@@ -8,7 +8,6 @@ invalidating cached pages that get overwritten.
 
 from __future__ import annotations
 
-from ..raid.array import FastAccounting
 from .base import Outcome
 from .common import SetAssocPolicy
 
@@ -18,26 +17,13 @@ class WriteAround(SetAssocPolicy):
 
     name = "wa"
 
-    def _fast_write_ok(self, fast: FastAccounting) -> bool:
-        return True
-
-    def _write_fast(self, lba: int) -> None:
-        # Write-set ⊆ scalar write() ∪ {_fast}: enforced by RPR204.
-        self._fast.write(1)
-        line = self.sets.lookup(lba)
-        if line is not None:
-            self.stats.write_hits += 1
-            self._drop_line(line)
-        else:
-            self.stats.write_misses += 1
-
-    def write(self, lba: int) -> Outcome:
-        disk_ops = self.raid.write(lba)
+    def _write(self, lba: int, out: Outcome) -> None:
+        out.fg_disk_ops = self._raid_write(lba)
         line = self.sets.lookup(lba)
         if line is not None:
             # the cached copy is now stale: drop it
             self.stats.write_hits += 1
             self._drop_line(line)
+            out.hit = True
         else:
             self.stats.write_misses += 1
-        return Outcome(hit=line is not None, is_read=False, fg_disk_ops=disk_ops)

@@ -10,7 +10,6 @@ RPO = 0.
 from __future__ import annotations
 
 from ..nvram.metabuffer import PageState
-from ..raid.array import FastAccounting
 from .base import Outcome
 from .common import SetAssocPolicy
 from .sets import CacheLine
@@ -21,27 +20,7 @@ class WriteBack(SetAssocPolicy):
 
     name = "wb"
 
-    def _fast_write_ok(self, fast: FastAccounting) -> bool:
-        return True
-
-    def _write_fast(self, lba: int) -> None:
-        # Write-set ⊆ scalar write() ∪ {_fast}: enforced by RPR204.
-        line = self.sets.lookup(lba)
-        if line is not None:
-            self.stats.write_hits += 1
-            self.sets.touch(lba)
-            if line.state is not PageState.DIRTY:
-                self.sets.set_state(lba, PageState.DIRTY)
-            self.stats.data_writes += 1
-            return
-        self.stats.write_misses += 1
-        line = self._alloc_line(lba, PageState.DIRTY)
-        if line is None:
-            self._fast.write(1)
-            return
-        self._on_line_allocated(line, "data")
-
-    def write(self, lba: int) -> Outcome:
+    def _write(self, lba: int, out: Outcome) -> None:
         line = self.sets.lookup(lba)
         if line is not None:
             self.stats.write_hits += 1
@@ -49,14 +28,17 @@ class WriteBack(SetAssocPolicy):
             if line.state is not PageState.DIRTY:
                 self.sets.set_state(lba, PageState.DIRTY)
             self._ssd_write(self._data_lpn(line), "data")
-            return Outcome(hit=True, is_read=False, bg_ssd_writes=1)
+            out.hit = True
+            out.bg_ssd_writes = 1
+            return
         self.stats.write_misses += 1
         line = self._admit_and_alloc(lba, PageState.DIRTY)
         if line is None:
             # nothing evictable: fall back to a direct RAID write
-            return Outcome(hit=False, is_read=False, fg_disk_ops=self.raid.write(lba))
+            out.fg_disk_ops = self._raid_write(lba)
+            return
         self._on_line_allocated(line, "data")
-        return Outcome(hit=False, is_read=False, bg_ssd_writes=1)
+        out.bg_ssd_writes = 1
 
     def _make_room(self, set_idx: int) -> bool:
         if self._evict_one_clean(set_idx):
@@ -71,10 +53,7 @@ class WriteBack(SetAssocPolicy):
     def _flush_line(self, line: CacheLine) -> list:
         """Write a dirty page back to RAID (full parity update)."""
         self._ssd_read(1)
-        if self._fast is not None:  # columnar: same counters, no DiskOps
-            self._fast.write(1)
-            return []
-        return self.raid.write(line.lba)
+        return self._raid_write(line.lba)
 
     def finish(self) -> None:
         """Flush every remaining dirty page (orderly shutdown)."""

@@ -10,7 +10,6 @@ stream (bad for flash endurance).
 from __future__ import annotations
 
 from ..nvram.metabuffer import PageState
-from ..raid.array import FastAccounting
 from .base import Outcome
 from .common import SetAssocPolicy
 
@@ -20,39 +19,21 @@ class WriteThrough(SetAssocPolicy):
 
     name = "wt"
 
-    def _fast_write_ok(self, fast: FastAccounting) -> bool:
-        return True
-
-    def _write_fast(self, lba: int) -> None:
-        # Write-set ⊆ scalar write() ∪ {_fast}: enforced by RPR204.
-        self._fast.write(1)
+    def _write(self, lba: int, out: Outcome) -> None:
+        out.fg_disk_ops = self._raid_write(lba)
         line = self.sets.lookup(lba)
         if line is not None:
             self.stats.write_hits += 1
             self.sets.touch(lba)
-            self.stats.data_writes += 1
-            return
-        self.stats.write_misses += 1
-        line = self._alloc_line(lba, PageState.CLEAN)
-        if line is not None:
-            self._on_line_allocated(line, "data")
-
-    def write(self, lba: int) -> Outcome:
-        disk_ops = self.raid.write(lba)
-        line = self.sets.lookup(lba)
-        if line is not None:
-            self.stats.write_hits += 1
-            self.sets.touch(lba)
-            self.admission.on_cache_hit(lba)
+            if self._filtered:
+                self.admission.on_cache_hit(lba)
             # overwrite the cached copy in place (same SSD logical page)
             self._ssd_write(self._data_lpn(line), "data")
-            return Outcome(
-                hit=True, is_read=False, fg_disk_ops=disk_ops, bg_ssd_writes=1
-            )
+            out.hit = True
+            out.bg_ssd_writes = 1
+            return
         self.stats.write_misses += 1
-        out = Outcome(hit=False, is_read=False, fg_disk_ops=disk_ops)
         line = self._admit_and_alloc(lba, PageState.CLEAN)
         if line is not None:
             self._on_line_allocated(line, "data")
-            out.bg_ssd_writes += 1
-        return out
+            out.bg_ssd_writes = 1

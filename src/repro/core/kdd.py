@@ -43,7 +43,7 @@ from ..delta.packer import DELTA_HEADER_BYTES, pack_deltas
 from ..errors import CacheError, ConfigError
 from ..nvram.metabuffer import MappingEntry, PageState
 from ..nvram.staging import StagingBuffer
-from ..raid.array import FastAccounting, RAIDArray
+from ..raid.array import RAIDArray
 
 
 @dataclass(slots=True)
@@ -215,25 +215,15 @@ class KDD(SetAssocPolicy):
 
     # -- reads -------------------------------------------------------------------
 
-    def _read_hit(self, line: CacheLine) -> Outcome:
+    def _read_hit(self, line: CacheLine, out: Outcome) -> None:
+        npages = 1
         if line.state is PageState.OLD:
-            ref: DeltaRef = line.aux
-            npages = 1 + (1 if ref.dez_lpn is not None else 0)
-            self._ssd_read(npages)
-            return Outcome(
-                hit=True,
-                is_read=True,
-                fg_ssd_reads=npages,
-                fg_compute=self.decompress_time,
-            )
-        self._ssd_read(1)
-        return Outcome(hit=True, is_read=True, fg_ssd_reads=1)
-
-    def _read_hit_fast(self, line: CacheLine) -> None:
-        if line.state is PageState.OLD and line.aux.dez_lpn is not None:
-            self.stats.ssd_reads += 2
-        else:
-            self.stats.ssd_reads += 1
+            # data page plus the latest delta, combined on the CPU
+            if line.aux.dez_lpn is not None:
+                npages = 2
+            out.fg_compute = self.decompress_time
+        self.stats.ssd_reads += npages
+        out.fg_ssd_reads = npages
 
     def _bulk_read_hits(self, lbas: list[int]) -> None:
         self.stats.read_hits += len(lbas)
@@ -250,34 +240,29 @@ class KDD(SetAssocPolicy):
 
     # -- writes --------------------------------------------------------------------
 
-    def write(self, lba: int) -> Outcome:
+    def _write(self, lba: int, out: Outcome) -> None:
         line = self.sets.lookup(lba)
         if line is None:
-            return self._write_miss(lba)
+            self._write_miss(lba, out)
+            return
         self.stats.write_hits += 1
         self.sets.touch(lba)
-        self.admission.on_cache_hit(lba)
+        if self._filtered:
+            self.admission.on_cache_hit(lba)
 
         # generate the new delta (size drawn from the content-locality model,
         # capped so any single delta fits one DEZ page with its header)
         size = min(self.delta_model.sample_size(), self._max_delta)
-        out = Outcome(
-            hit=True,
-            is_read=False,
-            # While the array is degraded, parity IS the failed member's
-            # data — delaying its update would widen the loss window to
-            # certainty, so writes fall back to immediate parity updates
-            # until the rebuild completes (Section III-E).
-            fg_disk_ops=(
-                self.raid.write(lba)
-                if self.raid.degraded
-                else self.raid.write_without_parity_update(lba)
-            ),
-            fg_compute=self.compress_time,
-        )
+        out.hit = True
+        # While the array is degraded, parity IS the failed member's
+        # data — delaying its update would widen the loss window to
+        # certainty, so writes fall back to immediate parity updates
+        # until the rebuild completes (Section III-E).
+        out.fg_disk_ops = self._raid_write(lba, delayed=not self.raid.degraded)
+        out.fg_compute = self.compress_time
         # the old version must be read from SSD to compute the XOR delta
         self._ssd_read(1)
-        out.fg_ssd_reads += 1
+        out.fg_ssd_reads = 1
 
         self._stale_order.setdefault(self.raid.layout.stripe_of(lba), None)
         if line.state is PageState.CLEAN:
@@ -297,58 +282,19 @@ class KDD(SetAssocPolicy):
                 ref.size = size
                 ref.dez_lpn = None
         self._maybe_clean(out)
-        return out
 
-    def _write_miss(self, lba: int) -> Outcome:
+    def _write_miss(self, lba: int, out: Outcome) -> None:
         self.stats.write_misses += 1
-        out = Outcome(hit=False, is_read=False, fg_disk_ops=self.raid.write(lba))
+        out.fg_disk_ops = self._raid_write(lba)
         line = self._admit_and_alloc(lba, PageState.CLEAN)
         if line is not None:
             self._on_line_allocated(line, "data")
-            out.bg_ssd_writes += 1
+            out.bg_ssd_writes = 1
         self._maybe_clean(out)
-        return out
-
-    def _fast_write_ok(self, fast: FastAccounting) -> bool:
-        # write hits delay the parity update, which needs a parity level
-        return fast.delayed_ok
-
-    def _write_fast(self, lba: int) -> None:
-        # Write-set ⊆ scalar write() ∪ {_fast}: enforced by RPR204 across
-        # the full staging/mlog/cleaning closure.
-        line = self.sets.lookup(lba)
-        if line is None:
-            self.stats.write_misses += 1
-            self._fast.write(1)
-            line = self._alloc_line(lba, PageState.CLEAN)
-            if line is not None:
-                self._on_line_allocated(line, "data")
-            self._maybe_clean()
-            return
-        self.stats.write_hits += 1
-        self.sets.touch(lba)
-        size = min(self.delta_model.sample_size(), self._max_delta)
-        stripe = lba // self.raid.layout.stripe_data_pages
-        self._fast.write_delayed(stripe)
-        self.stats.ssd_reads += 1
-        self._stale_order.setdefault(stripe, None)
-        if line.state is PageState.CLEAN:
-            self.sets.set_state(lba, PageState.OLD)
-            line.aux = DeltaRef(size=size)
-            self._stage_delta(lba, size)
-        else:
-            ref: DeltaRef = line.aux
-            # Same crash-safe supersede order as the scalar write().
-            if self._stage_delta(lba, size):
-                if ref.dez_lpn is not None:
-                    self._invalidate_dez_delta(lba, ref)
-                ref.size = size
-                ref.dez_lpn = None
-        self._maybe_clean()
 
     # -- staging and the Delta Zone ----------------------------------------------
 
-    def _stage_delta(self, lba: int, size: int, out: Outcome | None = None) -> bool:
+    def _stage_delta(self, lba: int, size: int, out: Outcome) -> bool:
         """Put one delta into NVRAM, committing a DEZ page first if needed.
 
         Returns whether the delta was actually staged — False when the
@@ -370,9 +316,7 @@ class KDD(SetAssocPolicy):
         self.staging.put(lba, size)
         return True
 
-    def _commit_staging(
-        self, out: Outcome | None = None, exclude: int | None = None
-    ) -> None:
+    def _commit_staging(self, out: Outcome, exclude: int | None = None) -> None:
         """Compact all staged deltas into DEZ pages and flush them.
 
         With the default one-page staging buffer everything fits one DEZ
@@ -385,8 +329,6 @@ class KDD(SetAssocPolicy):
         items = self.staging.begin_flush(exclude=exclude)
         if not items:
             return
-        if out is None:  # columnar fast path: background ops are discarded
-            out = Outcome(hit=False, is_read=False)
         # greedy first-fit grouping into page-sized DEZ commits
         groups: list[list] = [[]]
         used = 0
@@ -502,11 +444,9 @@ class KDD(SetAssocPolicy):
         """Old + delta pages: what cleaning is triggered on."""
         return self.sets.count(PageState.OLD) + self.sets.dez_pages
 
-    def _maybe_clean(self, out: Outcome | None = None) -> None:
+    def _maybe_clean(self, out: Outcome) -> None:
         if self.dirty_pages <= self._dirty_limit:
             return
-        if out is None:  # columnar fast path: background ops are discarded
-            out = Outcome(hit=False, is_read=False)
         target = self._clean_target
         while self._stale_order and self.dirty_pages > target:
             stripe = next(iter(self._stale_order))

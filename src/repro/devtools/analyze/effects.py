@@ -14,12 +14,12 @@ three contract families on top of the write-sets:
   bump the epoch; and the batch readers the columnar fast path
   snapshots through (``classify`` and friends) must be write-free
   with respect to membership state.
-* **Fast-path effect subsumption** (RPR204).  Each policy's columnar
-  fast hook (``_write_fast``/``_read_hit_fast``/``_bulk_read_hits``)
-  may only write what its scalar counterpart writes plus the declared
-  :class:`FastAccounting` delta surface — a fast path can never touch
-  state the scalar path doesn't, the property the hypothesis
-  equivalence suite only samples.
+* **Fast-path effect subsumption** (RPR204).  The columnar-only hook
+  ``_bulk_read_hits`` (every other access runs the same handlers in
+  both modes) may only write what the scalar ``read`` writes plus the
+  declared :class:`FastAccounting` delta surface — a fast path can
+  never touch state the scalar path doesn't, the property the
+  hypothesis equivalence suite only samples.
 * **Sweep race detection** (RPR205/RPR206).  Module-level mutable
   state (``global`` writes, mutation of module constants, class
   attributes) and caching decorators reachable from the sweep
@@ -71,11 +71,7 @@ BATCH_READERS = ("classify", "resident_in_range", "set_of_batch", "touch_many")
 
 #: Columnar fast hook -> scalar counterpart whose write-set must
 #: subsume it (plus the FastAccounting delta surface).
-FAST_SCALAR_PAIRS = (
-    ("_write_fast", "write"),
-    ("_read_hit_fast", "read"),
-    ("_bulk_read_hits", "read"),
-)
+FAST_SCALAR_PAIRS = (("_bulk_read_hits", "read"),)
 #: The declared FastAccounting delta surface: the only attribute a
 #: fast path may write beyond its scalar counterpart (the O(1) RAID
 #: counter accumulator installed by ``_process_columnar``).

@@ -168,15 +168,17 @@ def simulate_policy(
     cache_pages: int,
     raid: RAIDArray | None = None,
     policy_kwargs: dict[str, Any] | None = None,
-    vectorized: bool = False,
+    vectorized: bool = True,
     **config_kwargs: Any,
 ) -> SimulationResult:
     """Run ``trace`` through policy ``name`` with a ``cache_pages`` cache.
 
     Extra keyword arguments go to :class:`CacheConfig` (e.g.
     ``mean_compression=0.12``, ``meta_partition_frac=0.0039``, ``seed=7``).
-    ``vectorized=True`` enables the columnar fast path (identical
-    results; see :meth:`repro.cache.base.CachePolicy.process_trace`).
+    The trace takes the columnar fast path wherever the configuration
+    allows it (identical results; see
+    :meth:`repro.cache.base.CachePolicy.access_many`);
+    ``vectorized=False`` forces the scalar per-access loop.
     """
     valid = {f.name for f in fields(CacheConfig)}
     bad = set(config_kwargs) - valid

@@ -148,11 +148,16 @@ class FastAccounting:
         c.data_writes += npages * self.write_data_writes
         c.parity_writes += npages * self.write_parity_writes
 
-    @columnar(dtypes={"stripe": "int"})
-    def write_delayed(self, stripe: int) -> None:
-        """Account one ``write_without_parity_update``; marks parity stale."""
+    @columnar(dtypes={"lpage": "int"})
+    def write_delayed(self, lpage: int) -> None:
+        """Account one ``write_without_parity_update``; marks parity stale.
+
+        Raises the scalar call's :class:`RaidError` without a parity level.
+        """
+        if not self.delayed_ok:
+            raise RaidError("delayed parity requires a parity RAID level")
         self.counters.data_writes += 1
-        self.stale_stripes.add(stripe)
+        self.stale_stripes.add(lpage // self.stripe_data_pages)
 
 
 class RAIDArray:

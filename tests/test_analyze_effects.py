@@ -197,22 +197,23 @@ class TestFastPathSubsumption:
                         self.stats = {}
                         self.shadow = {}
 
-                    def write(self, lba):
+                    def read(self, lba):
                         self.stats[lba] = 1
 
-                    def _write_fast(self, lba):
-                        self.stats[lba] = 1
-                        self.shadow[lba] = 1
+                    def _bulk_read_hits(self, lbas):
+                        for lba in lbas:
+                            self.stats[lba] = 1
+                            self.shadow[lba] = 1
             """,
         })
         findings = check_effects(project)
         assert codes(findings) == ["RPR204"]
         assert "'shadow'" in findings[0].message
-        assert "_write_fast()" in findings[0].message
+        assert "_bulk_read_hits()" in findings[0].message
 
     def test_subsumption_holds_through_helper_calls(self, project_from):
         # The write-set closure crosses call boundaries: the scalar
-        # path writes via a helper, the fast path directly, and the
+        # path writes via a helper, the bulk hook directly, and the
         # FastAccounting delta surface (_fast) is always admissible.
         project = project_from({
             "cache/common.py": """\
@@ -224,12 +225,13 @@ class TestFastPathSubsumption:
                     def _account(self, lba):
                         self.stats[lba] = 1
 
-                    def write(self, lba):
+                    def read(self, lba):
                         self._account(lba)
 
-                    def _write_fast(self, lba):
-                        self.stats[lba] = 1
-                        self._fast.write(1)
+                    def _bulk_read_hits(self, lbas):
+                        for lba in lbas:
+                            self.stats[lba] = 1
+                        self._fast.read(len(lbas))
             """,
         })
         assert check_effects(project) == []
@@ -241,15 +243,16 @@ class TestFastPathSubsumption:
                     def __init__(self):
                         self.stats = {}
 
-                    def write(self, lba):
+                    def read(self, lba):
                         self.stats[lba] = 1
             """,
-            "cache/wt.py": """\
+            "cache/kdd.py": """\
                 from .common import Base
 
-                class WriteThrough(Base):
-                    def _write_fast(self, lba):
-                        self.stats[lba] = 1
+                class KDD(Base):
+                    def _bulk_read_hits(self, lbas):
+                        for lba in lbas:
+                            self.stats[lba] = 1
             """,
         })
         assert check_effects(project) == []
@@ -389,11 +392,12 @@ class TestRealTree:
         # Exactly one choke point, and it is the CacheSets API.
         assert analysis.choke_points() == \
             ["repro.cache.sets:CacheSets._membership_update"]
-        # Every policy fast hook is covered by the subsumption check.
-        classes = {cid for cid, _fast, _scalar in analysis.fast_pairs()}
-        assert "repro.cache.writethrough:WriteThrough" in classes
-        assert "repro.cache.leavo:LeavO" in classes
-        assert "repro.core.kdd:KDD" in classes
+        # Every class defining the bulk read-hit hook is covered by the
+        # subsumption check.
+        assert analysis.fast_pairs() == [
+            ("repro.cache.common:SetAssocPolicy", "_bulk_read_hits", "read"),
+            ("repro.core.kdd:KDD", "_bulk_read_hits", "read"),
+        ]
         # The sweep worker surface includes both cell runners and hooks.
         entries = analysis.sweep_entries()
         assert "repro.harness.sweep:_execute_cell" in entries

@@ -1,13 +1,14 @@
 """Property tests: the columnar fast path is result-identical.
 
 ``process_trace(vectorized=True)`` must produce exactly the counters,
-RAID accounting, policy extras and *eviction sequence* of the scalar
-per-access loop, for every policy and any trace.  Hypothesis drives
-random synthetic traces through both paths and compares everything
-observable; a deterministic test also pins that the columnar hook
-actually engages, for ``process_trace`` and for the serve driver (a
-silent fallback to the scalar loop would make the equivalence, and the
-serve driver's speed-up, vacuous).
+RAID accounting, policy extras, each policy's own integer counters and
+the *eviction sequence* of the scalar per-access loop, for every
+registered policy and any trace.  Hypothesis drives random synthetic
+traces through both paths and compares everything observable; a
+deterministic test also pins that the columnar hook actually engages,
+for ``process_trace`` and for the serve driver (a silent fallback to
+the scalar loop would make the equivalence, and the serve driver's
+speed-up, vacuous).
 """
 
 from __future__ import annotations
@@ -20,12 +21,20 @@ from repro.cache.base import CacheConfig
 from repro.cache.common import SetAssocPolicy
 from repro.cache.partition import PartitionedCache, PartitionPlan
 from repro.core.kdd import KDD
+from repro.errors import RaidError
 from repro.harness.runner import POLICIES, make_raid_for_trace
 from repro.harness.servesweep import _make_raid
+from repro.raid.layout import RaidLevel
 from repro.serve import ServeDriver, WorkloadComposer, make_tenant_fleet
 from repro.traces import Trace, empty_records
 
-POLICY_NAMES = ("nossd", "wt", "wa", "wb", "leavo", "kdd")
+POLICY_NAMES = tuple(POLICIES)
+#: Bounds small enough that the write-back variants flush inside a
+#: 250-request trace (their defaults would never trip).
+POLICY_KWARGS = {"owb": dict(max_dirty_writes=8), "jwb": dict(epoch_writes=4)}
+SET_ASSOC_NAMES = tuple(
+    name for name, cls in POLICIES.items() if issubclass(cls, SetAssocPolicy)
+)
 
 
 def make_trace(rows):
@@ -36,7 +45,8 @@ def make_trace(rows):
     return Trace(rec, name="prop")
 
 
-def run_policy(name, trace, cache_pages, vectorized, **config_kwargs):
+def run_policy(name, trace, cache_pages, vectorized, raid=None,
+               **config_kwargs):
     """One full run; returns every externally observable outcome."""
     cls = POLICIES[name]
     evictions: list[int] = []
@@ -47,14 +57,15 @@ def run_policy(name, trace, cache_pages, vectorized, **config_kwargs):
             super()._drop_line(line)
 
     config = CacheConfig(cache_pages=cache_pages, **config_kwargs)
-    raid = make_raid_for_trace(trace)
-    policy = Recording(config, raid)
+    if raid is None:
+        raid = make_raid_for_trace(trace)
+    policy = Recording(config, raid, **POLICY_KWARGS.get(name, {}))
     stats = policy.process_trace(trace, vectorized=vectorized)
-    extras = {}
+    # the policy's own integer counters (protections, ordered_flushes,
+    # epochs_committed, mirror_writes, cleanings, ...)
+    extras = {k: v for k, v in vars(policy).items() if type(v) is int}
     if isinstance(policy, KDD):
-        extras = dict(
-            cleanings=policy.cleanings,
-            forced_cleanings=policy.forced_cleanings,
+        extras.update(
             dez_pages=len(policy.dez_pages),
             mlog_gc_pages=policy.mlog.gc_pages_reclaimed,
         )
@@ -62,35 +73,38 @@ def run_policy(name, trace, cache_pages, vectorized, **config_kwargs):
     return stats, raid.counters, extras, evictions
 
 
+# At least 20 requests: hypothesis' average list is ~5 long, too short
+# for repeated write hits (WEC protection, OWB/JWB flushes) to occur.
 requests = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=199),   # lba
         st.integers(min_value=1, max_value=4),     # npages
         st.booleans(),                             # is_read
     ),
-    min_size=0,
+    min_size=20,
     max_size=250,
 )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(
     rows=requests,
-    policy=st.sampled_from(POLICY_NAMES),
     cache_pages=st.sampled_from((64, 96, 128)),
     compression=st.sampled_from((0.12, 0.25, 0.50)),
     seed=st.integers(min_value=0, max_value=3),
 )
-def test_vectorized_matches_scalar(rows, policy, cache_pages, compression,
-                                   seed):
+def test_vectorized_matches_scalar(rows, cache_pages, compression, seed):
     trace = make_trace(rows)
     kwargs = dict(mean_compression=compression, seed=seed)
-    scalar = run_policy(policy, trace, cache_pages, vectorized=False, **kwargs)
-    vector = run_policy(policy, trace, cache_pages, vectorized=True, **kwargs)
-    assert scalar[0] == vector[0], "traffic counters diverged"
-    assert scalar[1] == vector[1], "raid counters diverged"
-    assert scalar[2] == vector[2], "policy extras diverged"
-    assert scalar[3] == vector[3], "eviction sequences diverged"
+    for policy in POLICY_NAMES:
+        scalar = run_policy(policy, trace, cache_pages, vectorized=False,
+                            **kwargs)
+        vector = run_policy(policy, trace, cache_pages, vectorized=True,
+                            **kwargs)
+        assert scalar[0] == vector[0], f"{policy}: traffic counters diverged"
+        assert scalar[1] == vector[1], f"{policy}: raid counters diverged"
+        assert scalar[2] == vector[2], f"{policy}: policy counters diverged"
+        assert scalar[3] == vector[3], f"{policy}: eviction sequences diverged"
 
 
 @settings(max_examples=20, deadline=None)
@@ -136,10 +150,26 @@ def test_columnar_path_engages(monkeypatch):
         for _ in range(400)
     ]
     trace = make_trace(rows)
-    for name in ("wt", "wa", "wb", "leavo", "kdd"):
+    for name in SET_ASSOC_NAMES:
         run_policy(name, trace, 64, vectorized=True)
     assert all(handled for _, handled in engaged), engaged
-    assert len(engaged) == 5
+    assert len(engaged) == len(SET_ASSOC_NAMES) == 9
+
+
+@pytest.mark.parametrize("level", [RaidLevel.RAID0, RaidLevel.RAID1])
+@pytest.mark.parametrize("policy", ["leavo", "kdd"])
+def test_delayed_parity_without_parity_raises_alike(policy, level):
+    """Delayed-parity write hits need a parity level: on RAID-0/1 the
+    columnar path's counter accounting raises the scalar RaidError at
+    the same access, with the same RAID counters."""
+    trace = make_trace([(5, 1, True), (9, 1, False), (5, 1, False)])
+    counters = []
+    for vectorized in (False, True):
+        raid = make_raid_for_trace(trace, level=level, ndisks=2)
+        with pytest.raises(RaidError, match="parity RAID level"):
+            run_policy(policy, trace, 64, vectorized, raid=raid)
+        counters.append(raid.counters)
+    assert counters[0] == counters[1]
 
 
 @pytest.mark.parametrize("dynamic", [False, True])
